@@ -65,26 +65,26 @@ type segment = {
 }
 
 type stats = {
-  begun : int;
-  committed : int;
-  aborts : int;
-  set_ranges : int;
-  undo_bytes_logged : int;
-  elided_undo_bytes : int;
-  undo_hwm_bytes : int;
-  coalesced_ranges : int;
-  commit_bytes_saved : int;
-  local_copy_bytes : int;
-  mirrors_lost : int;
-  mirrors_recruited : int;
-  resync_bytes : int;
-  degraded_us : int;
-  conflicts : int;
-  group_flushes : int;
-  group_commit_txns : int;
-  checkpoints_taken : int;
-  checkpoint_bytes : int;
-  log_truncated_bytes : int;
+  mutable begun : int;
+  mutable committed : int;
+  mutable aborts : int;
+  mutable set_ranges : int;
+  mutable undo_bytes_logged : int;
+  mutable elided_undo_bytes : int;
+  mutable undo_hwm_bytes : int;
+  mutable coalesced_ranges : int;
+  mutable commit_bytes_saved : int;
+  mutable local_copy_bytes : int;
+  mutable mirrors_lost : int;
+  mutable mirrors_recruited : int;
+  mutable resync_bytes : int;
+  mutable degraded_us : int;
+  mutable conflicts : int;
+  mutable group_flushes : int;
+  mutable group_commit_txns : int;
+  mutable checkpoints_taken : int;
+  mutable checkpoint_bytes : int;
+  mutable log_truncated_bytes : int;
 }
 
 type resync_mode = Full | Incremental
@@ -152,7 +152,7 @@ type t = {
       (* Mirror count below which the database counts as degraded; the
          supervisor aligns this with its own target. *)
   mutable degraded_since : Time.t option;
-  mutable st_degraded : Time.t; (* closed degraded windows, summed *)
+  mutable degraded : Time.t; (* closed degraded windows, summed *)
   retired : (int, int64) Hashtbl.t;
       (* node id -> last epoch confirmed on that ex-mirror, the basis
          for incremental resync when the node's server comes back *)
@@ -169,25 +169,7 @@ type t = {
          predates the truncation, keeping the dirty log complete for
          incremental resync even after checkpoints empty it *)
   mutable ckpt_summary_upto : int64; (* entries tagged <= this live in the summary *)
-  mutable st_ckpts : int;
-  mutable st_ckpt_bytes : int;
-  mutable st_log_truncated : int;
-  mutable st_begun : int;
-  mutable st_committed : int;
-  mutable st_aborted : int;
-  mutable st_set_ranges : int;
-  mutable st_undo_bytes : int;
-  mutable st_elided_bytes : int;
-  mutable st_undo_hwm : int;
-  mutable st_coalesced_ranges : int;
-  mutable st_commit_saved : int;
-  mutable st_local_copy_bytes : int;
-  mutable st_mirrors_lost : int;
-  mutable st_mirrors_recruited : int;
-  mutable st_resync_bytes : int;
-  mutable st_conflicts : int;
-  mutable st_group_flushes : int;
-  mutable st_group_txns : int;
+  st : stats; (* every counter; [stats] hands out copies *)
 }
 
 and range = {
@@ -230,7 +212,7 @@ let params t = Sci.Nic.params (Cluster.nic t.cluster)
 
 let charge_local_copy t len =
   Clock.advance (clock t) (Sci.Model.local_copy (params t) len);
-  t.st_local_copy_bytes <- t.st_local_copy_bytes + len
+  t.st.local_copy_bytes <- t.st.local_copy_bytes + len
 
 (* Wiring one sink here also attaches it to the cluster's NIC, so a
    single call traces the whole stack: transaction phases from this
@@ -311,13 +293,58 @@ let note_replication t =
   else
     match t.degraded_since with
     | Some since ->
-        t.st_degraded <- t.st_degraded + (now - since);
+        t.degraded <- t.degraded + (now - since);
         t.degraded_since <- None
     | None -> ()
 
 let degraded_total t =
-  t.st_degraded
+  t.degraded
   + (match t.degraded_since with Some since -> Clock.now (clock t) - since | None -> Time.zero)
+
+(* [t.st] is the one place counters live.  [stats] copies it, and
+   [pp_stats], [stats_to_json] and the telemetry probe read the copy
+   through [stats_fields].  [degraded_us] is the exception: the engine
+   accumulates it as virtual time in [t.degraded] (closed windows) and
+   only the snapshot converts it, open window included. *)
+let stats t = { t.st with degraded_us = Time.to_ns (degraded_total t) / 1000 }
+
+let stats_fields (s : stats) =
+  [
+    ("begun", s.begun);
+    ("committed", s.committed);
+    ("aborts", s.aborts);
+    ("set_ranges", s.set_ranges);
+    ("undo_bytes_logged", s.undo_bytes_logged);
+    ("elided_undo_bytes", s.elided_undo_bytes);
+    ("undo_hwm_bytes", s.undo_hwm_bytes);
+    ("coalesced_ranges", s.coalesced_ranges);
+    ("commit_bytes_saved", s.commit_bytes_saved);
+    ("local_copy_bytes", s.local_copy_bytes);
+    ("mirrors_lost", s.mirrors_lost);
+    ("mirrors_recruited", s.mirrors_recruited);
+    ("resync_bytes", s.resync_bytes);
+    ("degraded_us", s.degraded_us);
+    ("conflicts", s.conflicts);
+    ("group_flushes", s.group_flushes);
+    ("group_commit_txns", s.group_commit_txns);
+    ("checkpoints_taken", s.checkpoints_taken);
+    ("checkpoint_bytes", s.checkpoint_bytes);
+    ("log_truncated_bytes", s.log_truncated_bytes);
+  ]
+
+let pp_stats ppf s =
+  Fmt.pf ppf "@[<v>";
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Fmt.cut ppf ();
+      Fmt.pf ppf "%-18s %d" k v)
+    (stats_fields s);
+  Fmt.pf ppf "@]"
+
+let stats_to_json s =
+  "{ "
+  ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) (stats_fields s))
+  ^ " }"
 
 let set_replication_target t n =
   if n <= 0 then invalid_arg "Perseas.set_replication_target: target must be positive";
@@ -339,22 +366,9 @@ let set_telemetry t tel =
       Trace.Timeseries.set tel "perseas.live_mirrors" (mirror_count t);
       Trace.Timeseries.set tel "perseas.open_txns" (List.length t.open_txns);
       Trace.Timeseries.set tel "perseas.staged_txns" (List.length t.staged);
-      Trace.Timeseries.set tel "perseas.conflicts" t.st_conflicts;
-      Trace.Timeseries.set tel "perseas.group_flushes" t.st_group_flushes;
       Trace.Timeseries.set tel "perseas.dirty_log" t.dirty_count;
-      Trace.Timeseries.set tel "perseas.undo_hwm_bytes" t.st_undo_hwm;
-      Trace.Timeseries.set tel "perseas.checkpoints_taken" t.st_ckpts;
-      Trace.Timeseries.set tel "perseas.checkpoint_bytes" t.st_ckpt_bytes;
-      Trace.Timeseries.set tel "perseas.log_truncated_bytes" t.st_log_truncated;
       Trace.Timeseries.set tel "perseas.retired_entries" (Hashtbl.length t.retired);
-      Trace.Timeseries.set tel "perseas.elided_undo_bytes" t.st_elided_bytes;
-      Trace.Timeseries.set tel "perseas.coalesced_ranges" t.st_coalesced_ranges;
-      Trace.Timeseries.set tel "perseas.commit_bytes_saved" t.st_commit_saved;
-      Trace.Timeseries.set tel "perseas.committed" t.st_committed;
-      Trace.Timeseries.set tel "perseas.aborts" t.st_aborted;
-      Trace.Timeseries.set tel "perseas.mirrors_lost" t.st_mirrors_lost;
-      Trace.Timeseries.set tel "perseas.resync_bytes" t.st_resync_bytes;
-      Trace.Timeseries.set tel "perseas.degraded_us" (Time.to_ns (degraded_total t) / 1000))
+      List.iter (fun (k, v) -> Trace.Timeseries.set tel ("perseas." ^ k) v) (stats_fields (stats t)))
 
 let telemetry t = t.tel
 
@@ -392,7 +406,7 @@ let retired_count t = Hashtbl.length t.retired
    violations, stale protocol state — is a bug and propagates. *)
 let drop_mirror t m msg =
   retire_mirror t m;
-  t.st_mirrors_lost <- t.st_mirrors_lost + 1;
+  t.st.mirrors_lost <- t.st.mirrors_lost + 1;
   (* Tell the stream a transfer to this node may have been cut short:
      the protocol monitor uses this to close the node's open commit
      unit instead of flagging the interruption as a violation. *)
@@ -427,6 +441,73 @@ let fresh_mirror client ~config =
     m_alive = true;
   }
 
+(* The one engine constructor: a fresh database and a recovered one
+   differ only in these arguments. *)
+let make ~config ~cluster ~local_id ~mirrors ~epoch ~ready ~sink ~repl_target ~dirty_floor =
+  let inert = Trace.Timeseries.gauge Trace.Timeseries.noop "" in
+  let t =
+    {
+      config;
+      cluster;
+      local_id;
+      mirrors;
+      segs = [];
+      meta_local = Mem.Segment.v ~base:0 ~len:1 (* placeholder, set below *);
+      undo_local = Mem.Segment.v ~base:0 ~len:1;
+      epoch;
+      ready;
+      open_txns = [];
+      staged = [];
+      next_txn_id = 1;
+      undo_tail = 0;
+      flushing = false;
+      convoy_seq = 0;
+      hook = None;
+      sink;
+      tel = Trace.Timeseries.noop;
+      g_undo_tail = inert;
+      g_group_size = inert;
+      repl_target;
+      degraded_since = None;
+      degraded = Time.zero;
+      retired = Hashtbl.create 8;
+      dirty = [];
+      dirty_count = 0;
+      dirty_floor;
+      ckpt_target = None;
+      ckpt_inflight = None;
+      ckpt_gen = 0L;
+      ckpt_summary = Imap.empty;
+      ckpt_summary_upto = 0L;
+      st =
+        {
+          begun = 0;
+          committed = 0;
+          aborts = 0;
+          set_ranges = 0;
+          undo_bytes_logged = 0;
+          elided_undo_bytes = 0;
+          undo_hwm_bytes = 0;
+          coalesced_ranges = 0;
+          commit_bytes_saved = 0;
+          local_copy_bytes = 0;
+          mirrors_lost = 0;
+          mirrors_recruited = 0;
+          resync_bytes = 0;
+          degraded_us = 0;
+          conflicts = 0;
+          group_flushes = 0;
+          group_commit_txns = 0;
+          checkpoints_taken = 0;
+          checkpoint_bytes = 0;
+          log_truncated_bytes = 0;
+        };
+    }
+  in
+  t.meta_local <- alloc_local t (meta_size t) "metadata staging";
+  t.undo_local <- alloc_local t config.undo_capacity "undo log";
+  t
+
 let init_replicated ?(config = default_config) clients =
   if clients = [] then invalid_arg "Perseas.init_replicated: at least one mirror required";
   if config.undo_capacity < 4096 then invalid_arg "Perseas.init: undo_capacity too small";
@@ -448,62 +529,9 @@ let init_replicated ?(config = default_config) clients =
     invalid_arg "Perseas.init: duplicate mirror nodes";
   let mirrors = Array.of_list (List.map (fun c -> fresh_mirror c ~config) clients) in
   let t =
-    {
-      config;
-      cluster;
-      local_id;
-      mirrors;
-      segs = [];
-      meta_local = Mem.Segment.v ~base:0 ~len:1 (* placeholder, set below *);
-      undo_local = Mem.Segment.v ~base:0 ~len:1;
-      epoch = 0L;
-      ready = false;
-      open_txns = [];
-      staged = [];
-      next_txn_id = 1;
-      undo_tail = 0;
-      flushing = false;
-      convoy_seq = 0;
-      hook = None;
-      sink = Trace.Sink.noop;
-      tel = Trace.Timeseries.noop;
-      g_undo_tail = Trace.Timeseries.gauge Trace.Timeseries.noop "";
-      g_group_size = Trace.Timeseries.gauge Trace.Timeseries.noop "";
-      repl_target = List.length clients;
-      degraded_since = None;
-      st_degraded = Time.zero;
-      retired = Hashtbl.create 8;
-      dirty = [];
-      dirty_count = 0;
-      dirty_floor = 1L;
-      ckpt_target = None;
-      ckpt_inflight = None;
-      ckpt_gen = 0L;
-      ckpt_summary = Imap.empty;
-      ckpt_summary_upto = 0L;
-      st_ckpts = 0;
-      st_ckpt_bytes = 0;
-      st_log_truncated = 0;
-      st_begun = 0;
-      st_committed = 0;
-      st_aborted = 0;
-      st_set_ranges = 0;
-      st_undo_bytes = 0;
-      st_elided_bytes = 0;
-      st_undo_hwm = 0;
-      st_coalesced_ranges = 0;
-      st_commit_saved = 0;
-      st_local_copy_bytes = 0;
-      st_mirrors_lost = 0;
-      st_mirrors_recruited = 0;
-      st_resync_bytes = 0;
-      st_conflicts = 0;
-      st_group_flushes = 0;
-      st_group_txns = 0;
-    }
+    make ~config ~cluster ~local_id ~mirrors ~epoch:0L ~ready:false ~sink:Trace.Sink.noop
+      ~repl_target:(List.length clients) ~dirty_floor:1L
   in
-  t.meta_local <- alloc_local t (meta_size t) "metadata staging";
-  t.undo_local <- alloc_local t config.undo_capacity "undo log";
   t
 
 let init ?config client = init_replicated ?config [ client ]
@@ -661,7 +689,7 @@ let begin_transaction ?(client = "default") t =
     }
   in
   t.open_txns <- txn :: t.open_txns;
-  t.st_begun <- t.st_begun + 1;
+  t.st.begun <- t.st.begun + 1;
   txn
 
 (* [Doomed] surfaces as the typed [Conflict] the loser would have seen
@@ -770,7 +798,7 @@ let guard_mirror_loss txn f =
   with All_mirrors_lost ->
     let t = txn.owner in
     traced t ~name:"abort" ~args:[ ("reason", "all_mirrors_lost") ] (fun () -> rollback_local txn);
-    t.st_aborted <- t.st_aborted + 1;
+    t.st.aborts <- t.st.aborts + 1;
     close txn;
     Log.warn (fun k ->
         k "all mirrors lost mid-%s: transaction rolled back locally; attach a fresh mirror"
@@ -830,8 +858,8 @@ let log_undo_record txn seg ~off ~len =
     { r_seg = seg; r_off = off; r_len = len; staging_off = slot + Layout.undo_header_size; r_tag = t.epoch }
     :: txn.ranges;
   t.undo_tail <- undo_slot_of t ~off:slot ~payload_len:len;
-  if t.undo_tail > t.st_undo_hwm then t.st_undo_hwm <- t.undo_tail;
-  t.st_undo_bytes <- t.st_undo_bytes + len
+  if t.undo_tail > t.st.undo_hwm_bytes then t.st.undo_hwm_bytes <- t.undo_tail;
+  t.st.undo_bytes_logged <- t.st.undo_bytes_logged + len
 
 (* The propagation list for one commit: with elision, the write-set's
    maximal contiguous runs — adjacent and overlapping declarations
@@ -1084,16 +1112,16 @@ let flush t =
            traced t ~name:"abort" ~args:[ ("reason", "all_mirrors_lost") ] (fun () ->
                rollback_local txn))
          (List.rev batch);
-       t.st_aborted <- t.st_aborted + n;
+       t.st.aborts <- t.st.aborts + n;
        t.staged <- [];
        List.iter close batch;
        Log.warn (fun k -> k "all mirrors lost mid-flush: %d staged transaction(s) rolled back" n);
        raise All_mirrors_lost);
     t.epoch <- Int64.add t.epoch 1L;
     List.iter (fun txn -> note_dirty t ~tag:t.epoch (dirty_runs txn)) batch;
-    t.st_committed <- t.st_committed + n;
-    t.st_group_flushes <- t.st_group_flushes + 1;
-    t.st_group_txns <- t.st_group_txns + n;
+    t.st.committed <- t.st.committed + n;
+    t.st.group_flushes <- t.st.group_flushes + 1;
+    t.st.group_commit_txns <- t.st.group_commit_txns + n;
     Trace.Gauge.set t.g_group_size n;
     t.staged <- [];
     List.iter close batch
@@ -1147,8 +1175,8 @@ let set_range txn seg ~off ~len =
   | Some older ->
       (* The declarer is the younger party: roll it back and surface
          the typed conflict to its client for a retry. *)
-      t.st_conflicts <- t.st_conflicts + 1;
-      t.st_aborted <- t.st_aborted + 1;
+      t.st.conflicts <- t.st.conflicts + 1;
+      t.st.aborts <- t.st.aborts + 1;
       traced t ~name:"abort"
         ~args:[ ("reason", "conflict"); ("txn", string_of_int txn.t_id) ]
         (fun () -> rollback_local txn);
@@ -1160,8 +1188,8 @@ let set_range txn seg ~off ~len =
          the loser learn of it at its next library call. *)
       List.iter
         (fun victim ->
-          t.st_conflicts <- t.st_conflicts + 1;
-          t.st_aborted <- t.st_aborted + 1;
+          t.st.conflicts <- t.st.conflicts + 1;
+          t.st.aborts <- t.st.aborts + 1;
           traced t ~name:"abort"
             ~args:[ ("reason", "conflict"); ("txn", string_of_int victim.t_id) ]
             (fun () -> rollback_local victim);
@@ -1200,9 +1228,9 @@ let set_range txn seg ~off ~len =
   txn.wset <- Imap.add seg.index (Iset.add prior ~off ~len) txn.wset;
   txn.declared <- txn.declared + 1;
   txn.declared_bytes <- txn.declared_bytes + len;
-  t.st_set_ranges <- t.st_set_ranges + 1;
-  t.st_elided_bytes <-
-    t.st_elided_bytes + (len - List.fold_left (fun acc (_, flen) -> acc + flen) 0 fragments)
+  t.st.set_ranges <- t.st.set_ranges + 1;
+  t.st.elided_undo_bytes <-
+    t.st.elided_undo_bytes + (len - List.fold_left (fun acc (_, flen) -> acc + flen) 0 fragments)
 
 (* Eager-mode retag: records already pushed to the remote logs may
    carry a stale epoch tag when concurrent peers bumped the epoch since
@@ -1245,8 +1273,8 @@ let commit txn =
   if t.config.redundancy_elision then begin
     let wset_total = Imap.fold (fun _ iset acc -> acc + Iset.total iset) txn.wset 0 in
     let runs_now = List.length (commit_runs txn) in
-    t.st_coalesced_ranges <- t.st_coalesced_ranges + max 0 (txn.declared - runs_now);
-    t.st_commit_saved <- t.st_commit_saved + max 0 (txn.declared_bytes - wset_total)
+    t.st.coalesced_ranges <- t.st.coalesced_ranges + max 0 (txn.declared - runs_now);
+    t.st.commit_bytes_saved <- t.st.commit_bytes_saved + max 0 (txn.declared_bytes - wset_total)
   end;
   if t.config.group_commit <= 1 then begin
     (* Figure 3, step 3: propagate updated ranges to every mirror, then
@@ -1288,7 +1316,7 @@ let commit txn =
                       (fun () -> run_plan t (plan_epoch_write t m))))));
     t.epoch <- Int64.add t.epoch 1L;
     note_dirty t ~tag:t.epoch (dirty_runs txn);
-    t.st_committed <- t.st_committed + 1;
+    t.st.committed <- t.st.committed + 1;
     close txn
   end
   else begin
@@ -1382,7 +1410,7 @@ let abort txn =
       let t = txn.owner in
       traced t ~name:"abort" ~args:[ ("txn", string_of_int txn.t_id) ] (fun () ->
           rollback_local txn);
-      t.st_aborted <- t.st_aborted + 1;
+      t.st.aborts <- t.st.aborts + 1;
       close txn
 
 (* O(log n) on the coalesced index — and deliberately a touch more
@@ -1465,68 +1493,6 @@ let txn_client txn = txn.t_client
 let validate txn = match txn.state with Doomed -> check_open txn "validate" | _ -> ()
 let open_txn_count t = List.length t.open_txns
 let staged_count t = List.length t.staged
-
-let stats t =
-  {
-    begun = t.st_begun;
-    committed = t.st_committed;
-    aborts = t.st_aborted;
-    set_ranges = t.st_set_ranges;
-    undo_bytes_logged = t.st_undo_bytes;
-    elided_undo_bytes = t.st_elided_bytes;
-    undo_hwm_bytes = t.st_undo_hwm;
-    coalesced_ranges = t.st_coalesced_ranges;
-    commit_bytes_saved = t.st_commit_saved;
-    local_copy_bytes = t.st_local_copy_bytes;
-    mirrors_lost = t.st_mirrors_lost;
-    mirrors_recruited = t.st_mirrors_recruited;
-    resync_bytes = t.st_resync_bytes;
-    degraded_us = Time.to_ns (degraded_total t) / 1000;
-    conflicts = t.st_conflicts;
-    group_flushes = t.st_group_flushes;
-    group_commit_txns = t.st_group_txns;
-    checkpoints_taken = t.st_ckpts;
-    checkpoint_bytes = t.st_ckpt_bytes;
-    log_truncated_bytes = t.st_log_truncated;
-  }
-
-let stats_fields (s : stats) =
-  [
-    ("begun", s.begun);
-    ("committed", s.committed);
-    ("aborts", s.aborts);
-    ("set_ranges", s.set_ranges);
-    ("undo_bytes_logged", s.undo_bytes_logged);
-    ("elided_undo_bytes", s.elided_undo_bytes);
-    ("undo_hwm_bytes", s.undo_hwm_bytes);
-    ("coalesced_ranges", s.coalesced_ranges);
-    ("commit_bytes_saved", s.commit_bytes_saved);
-    ("local_copy_bytes", s.local_copy_bytes);
-    ("mirrors_lost", s.mirrors_lost);
-    ("mirrors_recruited", s.mirrors_recruited);
-    ("resync_bytes", s.resync_bytes);
-    ("degraded_us", s.degraded_us);
-    ("conflicts", s.conflicts);
-    ("group_flushes", s.group_flushes);
-    ("group_commit_txns", s.group_commit_txns);
-    ("checkpoints_taken", s.checkpoints_taken);
-    ("checkpoint_bytes", s.checkpoint_bytes);
-    ("log_truncated_bytes", s.log_truncated_bytes);
-  ]
-
-let pp_stats ppf s =
-  Fmt.pf ppf "@[<v>";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Fmt.cut ppf ();
-      Fmt.pf ppf "%-18s %d" k v)
-    (stats_fields s);
-  Fmt.pf ppf "@]"
-
-let stats_to_json s =
-  "{ "
-  ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) (stats_fields s))
-  ^ " }"
 
 (* ------------------------------------------------------------------ *)
 (* Mirror management                                                    *)
@@ -1770,8 +1736,8 @@ let do_attach ~op ~allow_incremental t ~server =
          mirror) can never be replayed against the fresh copy. *)
       t.epoch <- Int64.add t.epoch 1L;
       push_meta t;
-      t.st_mirrors_recruited <- t.st_mirrors_recruited + 1;
-      t.st_resync_bytes <- t.st_resync_bytes + report.bytes_copied
+      t.st.mirrors_recruited <- t.st.mirrors_recruited + 1;
+      t.st.resync_bytes <- t.st.resync_bytes + report.bytes_copied
     end;
     note_replication t;
     report
@@ -2066,7 +2032,7 @@ module Checkpoint = struct
           slot_write t tg ~slot:p.p_slot ~off:(slot_off + pos)
             ~src_off:(Mem.Segment.base seg.local + pos) ~len;
           p.p_shipped <- p.p_shipped + len;
-          t.st_ckpt_bytes <- t.st_ckpt_bytes + len;
+          t.st.checkpoint_bytes <- t.st.checkpoint_bytes + len;
           budget := !budget - len
         end)
       offs;
@@ -2135,17 +2101,17 @@ module Checkpoint = struct
               reship := !reship + r.r_len)
             txn.ranges)
         t.open_txns;
-      t.st_ckpt_bytes <- t.st_ckpt_bytes + !reship;
+      t.st.checkpoint_bytes <- t.st.checkpoint_bytes + !reship;
       let cut = t.epoch in
       publish t tg p ~cut;
       (* Publication done — truncate local recovery state up to the
          cut, in that order: a crash between publish and truncation
          only costs replaying state the checkpoint already covers. *)
-      let hwm_before = t.st_undo_hwm in
+      let hwm_before = t.st.undo_hwm_bytes in
       compact_log t;
       let truncated = max 0 (hwm_before - t.undo_tail) in
-      t.st_log_truncated <- t.st_log_truncated + truncated;
-      t.st_undo_hwm <- t.undo_tail;
+      t.st.log_truncated_bytes <- t.st.log_truncated_bytes + truncated;
+      t.st.undo_hwm_bytes <- t.undo_tail;
       (cut, truncated)
     in
     (* Dirty log: fold entries at or before the cut into the summary
@@ -2186,7 +2152,7 @@ module Checkpoint = struct
     List.iter (Hashtbl.remove t.retired) dead;
     t.ckpt_gen <- p.p_gen;
     t.ckpt_inflight <- None;
-    t.st_ckpts <- t.st_ckpts + 1;
+    t.st.checkpoints_taken <- t.st.checkpoints_taken + 1;
     Trace.Gauge.set t.g_undo_tail t.undo_tail;
     (cut, truncated)
 
@@ -2395,62 +2361,10 @@ let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?on_
   (* Build the new library instance and fetch every segment with one
      remote-to-local copy (paper, end of section 3). *)
   let t =
-    {
-      config;
-      cluster;
-      local_id = local;
-      mirrors = [| { m_client = client; m_meta = meta_remote; m_undo = undo_remote; m_alive = true } |];
-      segs = [];
-      meta_local = Mem.Segment.v ~base:0 ~len:1;
-      undo_local = Mem.Segment.v ~base:0 ~len:1;
-      epoch = new_epoch;
-      ready = true;
-      open_txns = [];
-      staged = [];
-      next_txn_id = 1;
-      undo_tail = 0;
-      flushing = false;
-      convoy_seq = 0;
-      hook = None;
-      sink;
-      tel = Trace.Timeseries.noop;
-      g_undo_tail = Trace.Timeseries.gauge Trace.Timeseries.noop "";
-      g_group_size = Trace.Timeseries.gauge Trace.Timeseries.noop "";
-      repl_target = 1;
-      degraded_since = None;
-      st_degraded = Time.zero;
-      retired = Hashtbl.create 8;
-      dirty = [];
-      dirty_count = 0;
-      dirty_floor = new_epoch;
-      ckpt_target = None;
-      ckpt_inflight = None;
-      ckpt_gen = 0L;
-      ckpt_summary = Imap.empty;
-      ckpt_summary_upto = 0L;
-      st_ckpts = 0;
-      st_ckpt_bytes = 0;
-      st_log_truncated = 0;
-      st_begun = 0;
-      st_committed = 0;
-      st_aborted = 0;
-      st_set_ranges = 0;
-      st_undo_bytes = 0;
-      st_elided_bytes = 0;
-      st_undo_hwm = 0;
-      st_coalesced_ranges = 0;
-      st_commit_saved = 0;
-      st_local_copy_bytes = 0;
-      st_mirrors_lost = 0;
-      st_mirrors_recruited = 0;
-      st_resync_bytes = 0;
-      st_conflicts = 0;
-      st_group_flushes = 0;
-      st_group_txns = 0;
-    }
+    make ~config ~cluster ~local_id:local
+      ~mirrors:[| { m_client = client; m_meta = meta_remote; m_undo = undo_remote; m_alive = true } |]
+      ~epoch:new_epoch ~ready:true ~sink ~repl_target:1 ~dirty_floor:new_epoch
   in
-  t.meta_local <- alloc_local t (meta_size t) "metadata staging";
-  t.undo_local <- alloc_local t config.undo_capacity "undo log";
   write_meta_staging t;
   let use_new = checkpoint <> None || helpers <> [] in
   (if not use_new then
@@ -2914,8 +2828,8 @@ module Shard = struct
     phase : Phase.t;
     mutable queue : cross list; (* FIFO: head drains first *)
     mutable next_xid : int;
-    mutable st_cross : int; (* cross-shard transactions committed *)
-    mutable st_cross_conflicts : int; (* drain attempts bounced by a conflict *)
+    mutable crossed : int; (* cross-shard transactions committed *)
+    mutable bounced : int; (* drain attempts bounced by a conflict *)
   }
 
   type nonrec t = router
@@ -2939,8 +2853,8 @@ module Shard = struct
       phase = Phase.create ?interval ~master ();
       queue = [];
       next_xid = 0;
-      st_cross = 0;
-      st_cross_conflicts = 0;
+      crossed = 0;
+      bounced = 0;
     }
 
   let shards sh = Array.length sh.members
@@ -3057,10 +2971,10 @@ module Shard = struct
           match run_cross sh x with
           | `Committed -> incr committed
           | `Conflicted ->
-              sh.st_cross_conflicts <- sh.st_cross_conflicts + 1;
+              sh.bounced <- sh.bounced + 1;
               requeued := x :: !requeued)
         q;
-      sh.st_cross <- sh.st_cross + !committed;
+      sh.crossed <- sh.crossed + !committed;
       sh.queue <- List.rev !requeued;
       fence sh;
       Phase.end_single_master sh.phase ~drained:!committed ~at:(now sh);
@@ -3102,8 +3016,8 @@ module Shard = struct
   let stats sh =
     {
       per_shard = Array.map (fun m -> m.sh_committed) sh.members;
-      cross_committed = sh.st_cross;
-      cross_conflicts = sh.st_cross_conflicts;
+      cross_committed = sh.crossed;
+      cross_conflicts = sh.bounced;
       backlog = List.length sh.queue;
       switches = Phase.single_master_phases sh.phase;
       phase_epoch = Phase.epoch sh.phase;
@@ -3116,7 +3030,7 @@ module Shard = struct
         Trace.Timeseries.set tel "cluster.backlog" (List.length sh.queue);
         Trace.Timeseries.set tel "cluster.phase"
           (match Phase.kind sh.phase with Phase.Partitioned -> 0 | Phase.Single_master -> 1);
-        Trace.Timeseries.set tel "cluster.cross_committed" sh.st_cross;
+        Trace.Timeseries.set tel "cluster.cross_committed" sh.crossed;
         Trace.Timeseries.set tel "cluster.switches" (Phase.single_master_phases sh.phase);
         Array.iter
           (fun m ->

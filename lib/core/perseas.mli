@@ -567,48 +567,51 @@ val commit_packets : txn -> int
 
 (** {1 Statistics} *)
 
-type stats = {
-  begun : int;
-  committed : int;
-  aborts : int;
-  set_ranges : int;
-  undo_bytes_logged : int;
+(** The engine's counters.  The engine keeps exactly one [stats]
+    record and bumps its fields in place; outside this module the
+    fields can be read but not set, and {!stats} hands out copies. *)
+type stats = private {
+  mutable begun : int;
+  mutable committed : int;
+  mutable aborts : int;
+  mutable set_ranges : int;
+  mutable undo_bytes_logged : int;
       (** Before-image payload bytes actually logged (after elision). *)
-  elided_undo_bytes : int;
+  mutable elided_undo_bytes : int;
       (** Declared bytes whose undo logging was skipped because the
           write-set index already covered them ([redundancy_elision]). *)
-  undo_hwm_bytes : int;
+  mutable undo_hwm_bytes : int;
       (** High-water mark of the undo log within one transaction
           (headers included) — how close any transaction came to
           {!type-config.undo_capacity}. *)
-  coalesced_ranges : int;
+  mutable coalesced_ranges : int;
       (** Declared ranges merged away by commit propagation: the sum
           over commits of (set_range calls − contiguous runs shipped). *)
-  commit_bytes_saved : int;
+  mutable commit_bytes_saved : int;
       (** Payload bytes commit propagation did {e not} re-ship thanks to
           coalescing: the sum over commits of (declared bytes, duplicates
           included − coalesced write-set bytes). *)
-  local_copy_bytes : int;  (** Bytes moved by local memcpys. *)
-  mirrors_lost : int;  (** Mirrors dropped after failing mid-operation. *)
-  mirrors_recruited : int;  (** Mirrors (re-)joined after {!init_remote_db}. *)
-  resync_bytes : int;  (** Database bytes pushed to joining mirrors. *)
-  degraded_us : int;
+  mutable local_copy_bytes : int;  (** Bytes moved by local memcpys. *)
+  mutable mirrors_lost : int;  (** Mirrors dropped after failing mid-operation. *)
+  mutable mirrors_recruited : int;  (** Mirrors (re-)joined after {!init_remote_db}. *)
+  mutable resync_bytes : int;  (** Database bytes pushed to joining mirrors. *)
+  mutable degraded_us : int;
       (** Total virtual microseconds spent below the replication target
           (see {!set_replication_target}; an open degraded window counts
           up to the current clock). *)
-  conflicts : int;
+  mutable conflicts : int;
       (** Transactions aborted because a concurrent peer declared an
           overlapping 64-byte line (both the immediate and the doomed
           flavour of {!Conflict}). *)
-  group_flushes : int;  (** Group-commit queue drains ({!flush}). *)
-  group_commit_txns : int;
+  mutable group_flushes : int;  (** Group-commit queue drains ({!flush}). *)
+  mutable group_commit_txns : int;
       (** Transactions committed through those flushes; divided by
           [group_flushes] this is the achieved batch size. *)
-  checkpoints_taken : int;  (** Checkpoints published ({!Checkpoint.finalize}). *)
-  checkpoint_bytes : int;
+  mutable checkpoints_taken : int;  (** Checkpoints published ({!Checkpoint.finalize}). *)
+  mutable checkpoint_bytes : int;
       (** Segment-image bytes shipped to the checkpoint target,
           including finalize-time re-ships and scrubs. *)
-  log_truncated_bytes : int;
+  mutable log_truncated_bytes : int;
       (** Undo-log bytes reclaimed by checkpoint truncation; each
           truncation also resets [undo_hwm_bytes] to the surviving
           tail, so the telemetry dashboard shows the log footprint
@@ -616,6 +619,13 @@ type stats = {
 }
 
 val stats : t -> stats
+(** A snapshot: later activity never changes a value already returned. *)
+
+val stats_fields : stats -> (string * int) list
+(** The single name table: one [(name, value)] pair per counter, in
+    declaration order.  {!pp_stats}, {!stats_to_json} and the
+    [perseas.<name>] telemetry gauges ({!set_telemetry}) all derive
+    from it. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** One [name value] line per counter. *)
@@ -660,16 +670,11 @@ val set_telemetry : t -> Trace.Timeseries.t -> unit
       samples;
     - [perseas.group_commit_size] — transactions committed by the most
       recent group flush;
-    - a sample-time probe exporting [perseas.epoch],
-      [perseas.live_mirrors], [perseas.dirty_log] (dirty-range log
-      length), [perseas.undo_hwm_bytes], [perseas.elided_undo_bytes],
-      [perseas.coalesced_ranges], [perseas.commit_bytes_saved],
-      [perseas.committed], [perseas.aborts], [perseas.mirrors_lost],
-      [perseas.resync_bytes], [perseas.degraded_us],
-      [perseas.open_txns], [perseas.staged_txns], [perseas.conflicts],
-      [perseas.group_flushes], [perseas.checkpoints_taken],
-      [perseas.checkpoint_bytes], [perseas.log_truncated_bytes] and
-      [perseas.retired_entries].
+    - a sample-time probe exporting [perseas.<name>] for every
+      {!stats_fields} counter, plus the gauges [perseas.epoch],
+      [perseas.live_mirrors], [perseas.open_txns],
+      [perseas.staged_txns], [perseas.dirty_log] (dirty-range log
+      length) and [perseas.retired_entries].
 
     Defaults to {!Trace.Timeseries.noop}. *)
 

@@ -42,20 +42,6 @@ let rec mkdirs dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let dump t ~dir ~cause ?stats () =
   mkdirs dir;
   let spans = Trace.Sink.spans t.ring in
@@ -66,7 +52,7 @@ let dump t ~dir ~cause ?stats () =
     close_out oc
   in
   let alert_json a =
-    Printf.sprintf "%S" (json_escape (Format.asprintf "%a" Trace.Monitor.pp_alert a))
+    Printf.sprintf "\"%s\"" (Trace.json_escape (Format.asprintf "%a" Trace.Monitor.pp_alert a))
   in
   (* Separate span/event drop counts: a full event ring with an empty
      span ring (or vice versa) says which half of the story the bundle
@@ -77,7 +63,7 @@ let dump t ~dir ~cause ?stats () =
        \ \"spans\": %d, \"events\": %d,\n\
        \ \"dropped_spans\": %d, \"dropped_events\": %d,\n\
        \ \"alerts\": [%s]}\n"
-       (json_escape cause)
+       (Trace.json_escape cause)
        (List.length spans) (List.length events)
        (Trace.Sink.dropped_spans t.ring)
        (Trace.Sink.dropped_events t.ring)

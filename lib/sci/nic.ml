@@ -1,14 +1,18 @@
 open Sim
 
-type t = {
-  params : Params.t;
-  clock : Clock.t;
+type counters = {
   mutable bursts : int;
   mutable packets64 : int;
   mutable packets16 : int;
   mutable packets_streamed : int;
   mutable bytes_written : int;
   mutable bytes_read : int;
+}
+
+type t = {
+  params : Params.t;
+  clock : Clock.t;
+  c : counters; (* the only copy; [counters] hands out snapshots *)
   mutable sink : Trace.Sink.t;
       (* Pure observer: event emission never touches the clock or the
          packet stream, so sink on/off runs are byte-identical. *)
@@ -27,14 +31,6 @@ type t = {
   tag_gauges : (string, Trace.Gauge.t) Hashtbl.t;
 }
 
-type counters = {
-  bursts : int;
-  packets64 : int;
-  packets16 : int;
-  bytes_written : int;
-  bytes_read : int;
-}
-
 let create ?(params = Params.default) clock =
   (match Params.validate params with
   | Ok () -> ()
@@ -43,12 +39,15 @@ let create ?(params = Params.default) clock =
   {
     params;
     clock;
-    bursts = 0;
-    packets64 = 0;
-    packets16 = 0;
-    packets_streamed = 0;
-    bytes_written = 0;
-    bytes_read = 0;
+    c =
+      {
+        bursts = 0;
+        packets64 = 0;
+        packets16 = 0;
+        packets_streamed = 0;
+        bytes_written = 0;
+        bytes_read = 0;
+      };
     sink = Trace.Sink.noop;
     ctx = [];
     tel = Trace.Timeseries.noop;
@@ -74,14 +73,15 @@ let set_telemetry (t : t) tel =
   (* Cumulative counters are mirrored into gauges lazily, at sample
      time, so the hot path pays nothing for them. *)
   Trace.Timeseries.on_sample tel (fun _at ->
-      Trace.Timeseries.set tel "nic.bursts" t.bursts;
-      Trace.Timeseries.set tel "nic.pkts" (t.packets64 + t.packets16);
-      Trace.Timeseries.set tel "nic.pkts64" t.packets64;
-      Trace.Timeseries.set tel "nic.pkts16" t.packets16;
-      Trace.Timeseries.set tel "nic.streamed_pkts" t.packets_streamed;
-      Trace.Timeseries.set tel "nic.bytes_written" t.bytes_written;
-      Trace.Timeseries.set tel "nic.bytes_read" t.bytes_read;
-      Trace.Timeseries.set tel "nic.bytes" (t.bytes_written + t.bytes_read))
+      let c = t.c in
+      Trace.Timeseries.set tel "nic.bursts" c.bursts;
+      Trace.Timeseries.set tel "nic.pkts" (c.packets64 + c.packets16);
+      Trace.Timeseries.set tel "nic.pkts64" c.packets64;
+      Trace.Timeseries.set tel "nic.pkts16" c.packets16;
+      Trace.Timeseries.set tel "nic.streamed_pkts" c.packets_streamed;
+      Trace.Timeseries.set tel "nic.bytes_written" c.bytes_written;
+      Trace.Timeseries.set tel "nic.bytes_read" c.bytes_read;
+      Trace.Timeseries.set tel "nic.bytes" (c.bytes_written + c.bytes_read))
 
 let telemetry (t : t) = t.tel
 
@@ -99,21 +99,16 @@ let note_burst (t : t) ~bytes ~pkts =
   Trace.Gauge.set t.g_burst_bytes bytes;
   Trace.Gauge.set t.g_burst_pkts pkts
 
-let counters (t : t) : counters =
-  {
-    bursts = t.bursts;
-    packets64 = t.packets64;
-    packets16 = t.packets16;
-    bytes_written = t.bytes_written;
-    bytes_read = t.bytes_read;
-  }
+let counters (t : t) = { t.c with bursts = t.c.bursts }
 
 let reset_counters (t : t) =
-  t.bursts <- 0;
-  t.packets64 <- 0;
-  t.packets16 <- 0;
-  t.bytes_written <- 0;
-  t.bytes_read <- 0
+  let c = t.c in
+  c.bursts <- 0;
+  c.packets64 <- 0;
+  c.packets16 <- 0;
+  c.packets_streamed <- 0;
+  c.bytes_written <- 0;
+  c.bytes_read <- 0
 
 type direction = Write | Read
 
@@ -323,13 +318,14 @@ let apply_step (t : t) step =
   Mem.Image.blit ~src:step.src ~src_off:step.src_off ~dst:step.dst ~dst_off:step.dst_off
     ~len:step.len;
   Clock.advance t.clock step.cost;
+  let c = t.c in
   (match step.kind with
-  | Packet.Full64 -> t.packets64 <- t.packets64 + 1
-  | Packet.Part16 -> t.packets16 <- t.packets16 + 1);
-  if step.streamed then t.packets_streamed <- t.packets_streamed + 1;
+  | Packet.Full64 -> c.packets64 <- c.packets64 + 1
+  | Packet.Part16 -> c.packets16 <- c.packets16 + 1);
+  if step.streamed then c.packets_streamed <- c.packets_streamed + 1;
   (match step.direction with
-  | Write -> t.bytes_written <- t.bytes_written + step.len
-  | Read -> t.bytes_read <- t.bytes_read + step.len);
+  | Write -> c.bytes_written <- c.bytes_written + step.len
+  | Read -> c.bytes_read <- c.bytes_read + step.len);
   if Trace.Timeseries.enabled t.tel then Trace.Gauge.add (tag_gauge t step.tag) step.len;
   if Trace.Sink.enabled t.sink then
     Trace.Sink.instant t.sink ~cat:"sci"
@@ -346,7 +342,7 @@ let apply_step (t : t) step =
 
 let run (t : t) plan =
   if plan.steps <> [] then begin
-    t.bursts <- t.bursts + 1;
+    t.c.bursts <- t.c.bursts + 1;
     if Trace.Timeseries.enabled t.tel then
       note_burst t ~bytes:plan.bytes ~pkts:(List.length plan.steps)
   end;

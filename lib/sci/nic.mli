@@ -12,19 +12,27 @@ open Sim
 
 type t
 
-type counters = {
-  bursts : int;
-  packets64 : int;
-  packets16 : int;
-  bytes_written : int;
-  bytes_read : int;
+type counters = private {
+  mutable bursts : int;  (** Non-empty plans run. *)
+  mutable packets64 : int;
+  mutable packets16 : int;
+  mutable packets_streamed : int;  (** 64-byte packets streamed behind the first of their burst. *)
+  mutable bytes_written : int;
+  mutable bytes_read : int;
 }
+(** The adapter's traffic counters.  The NIC keeps exactly one record
+    and bumps it in place; outside this module the fields can be read
+    but not set. *)
 
 val create : ?params:Params.t -> Clock.t -> t
 val params : t -> Params.t
 val clock : t -> Clock.t
+
 val counters : t -> counters
+(** A snapshot: later traffic never changes a value already returned. *)
+
 val reset_counters : t -> unit
+(** Zero every counter. *)
 
 val set_sink : t -> Trace.Sink.t -> unit
 (** Attach a trace sink: {!apply_step} then emits one instant event

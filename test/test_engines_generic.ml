@@ -1,4 +1,4 @@
-(* The application layer (Kvstore, Btree, file-meta) is a functor over
+(* The application layer (Kvstore, Btree) is a functor over
    Txn_intf: these tests run the same model-checked op sequences on the
    baseline engines, proving the interface is honest — the structures
    neither depend on PERSEAS internals nor break on engines with
@@ -73,18 +73,6 @@ let bt_session (module I : Harness.Testbed.INSTANCE) =
 let test_btree_on_all_engines () =
   List.iter bt_session (Harness.Testbed.all_instances ~dram_mb:16 ~device_mb:16 ())
 
-let fs_session (module I : Harness.Testbed.INSTANCE) =
-  let module FS = Workloads.File_meta.Make (I.E) in
-  let fs = FS.setup I.engine ~params:Workloads.File_meta.small_params in
-  let rng = Sim.Rng.create 55 in
-  for _ = 1 to 200 do
-    FS.transaction fs rng
-  done;
-  check_bool (I.label ^ " file-meta consistent") true (FS.consistent fs)
-
-let test_file_meta_on_all_engines () =
-  List.iter fs_session (Harness.Testbed.all_instances ~dram_mb:16 ~device_mb:16 ())
-
 (* Vista crash-recovery under the kvstore: engine-specific durability,
    engine-generic structure. *)
 let test_kvstore_on_vista_survives_crash () =
@@ -114,6 +102,5 @@ let suite =
   [
     ("kvstore runs on every engine", `Slow, test_kvstore_on_all_engines);
     ("btree runs on every engine", `Slow, test_btree_on_all_engines);
-    ("file-meta runs on every engine", `Slow, test_file_meta_on_all_engines);
     ("kvstore on Vista survives a crash", `Quick, test_kvstore_on_vista_survives_crash);
   ]

@@ -372,6 +372,35 @@ let test_postmortem_bundle () =
   check_bool "node 2 visited" true (contains causal "node 2");
   rm_rf dir
 
+(* Alert text reaches header.json escaped exactly once: a quote and a
+   non-ASCII byte in a convoy tag must come back verbatim. *)
+let test_header_alert_escaping () =
+  let f = F.create () in
+  let convoy = "unit c\"7 caf\xc3\xa9" in
+  List.iter (M.event (F.monitor f))
+    [
+      convoy_pkt ~at:1 ~convoy ~tag:"fence" ~epoch:2L ~batch:"1" ();
+      convoy_pkt ~at:2 ~convoy ~tag:"data" ~batch:"1" ();
+    ];
+  let expected =
+    match F.alerts f with
+    | [ a ] -> Format.asprintf "%a" M.pp_alert a
+    | l -> Alcotest.failf "expected one seeded alert, got %d" (List.length l)
+  in
+  check_bool "alert names the convoy" true (contains expected convoy);
+  let dir = "forensics-escape-out" in
+  if Sys.file_exists dir then rm_rf dir;
+  ignore (F.dump f ~dir ~cause:"cause \"quoted\"" ());
+  let ic = open_in_bin (Filename.concat dir "header.json") in
+  let header = Harness.Json.parse_exn (really_input_string ic (in_channel_length ic)) in
+  close_in ic;
+  rm_rf dir;
+  check Alcotest.string "cause round-trips" "cause \"quoted\""
+    (Harness.Json.to_string (Harness.Json.member_exn "cause" header));
+  match Harness.Json.to_list (Harness.Json.member_exn "alerts" header) with
+  | [ a ] -> check Alcotest.string "alert round-trips" expected (Harness.Json.to_string a)
+  | _ -> Alcotest.fail "expected exactly one alert in the header"
+
 let suite =
   [
     ("ring capacities and drop accounting", `Quick, test_ring_capacities);
@@ -389,4 +418,5 @@ let suite =
     ("causal timeline: eager cross-node story", `Quick, test_causal_timeline);
     ("causal timeline: convoy batches", `Quick, test_convoy_timeline);
     ("post-mortem bundle", `Quick, test_postmortem_bundle);
+    ("header.json escapes alerts once", `Quick, test_header_alert_escaping);
   ]

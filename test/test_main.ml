@@ -20,10 +20,8 @@ let () =
       ("baselines", Test_baselines.suite);
       ("remote-wal", Test_remote_wal.suite);
       ("workloads", Test_workloads.suite);
-      ("file-meta", Test_file_meta.suite);
       ("kvstore", Test_kvstore.suite);
       ("btree", Test_btree.suite);
-      ("pqueue", Test_pqueue.suite);
       ("engines-generic", Test_engines_generic.suite);
       ("trace", Test_trace.suite);
       ("tail", Test_tail.suite);

@@ -240,7 +240,13 @@ let test_stats_accounting () =
   check_int "committed" 1 s.committed;
   check_int "aborts" 1 s.aborts;
   check_int "set_ranges" 2 s.set_ranges;
-  check_int "undo bytes" 20 s.undo_bytes_logged
+  check_int "undo bytes" 20 s.undo_bytes_logged;
+  (* [stats] is a snapshot, not a view of the engine's live counters. *)
+  let txn = P.begin_transaction b.t in
+  P.set_range txn seg ~off:0 ~len:10;
+  P.commit txn;
+  check_int "snapshot unchanged by later commits" 1 s.committed;
+  check_int "fresh snapshot sees them" 2 (P.stats b.t).committed
 
 let test_epoch_write_is_single_packet () =
   let b, seg = with_db () in

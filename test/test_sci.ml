@@ -237,8 +237,12 @@ let test_nic_counters () =
   check_int "packets64" 3 c.packets64;
   check_int "packets16" 1 c.packets16;
   check_int "bytes" 200 c.bytes_written;
+  Sci.Nic.write nic ~src ~src_off:0 ~dst ~dst_off:0 ~len:200 ();
+  check_int "snapshot unchanged by later traffic" 200 c.bytes_written;
+  check_int "fresh snapshot sees it" 400 (Sci.Nic.counters nic).bytes_written;
   Sci.Nic.reset_counters nic;
-  check_int "reset" 0 (Sci.Nic.counters nic).bytes_written
+  check_int "reset" 0 (Sci.Nic.counters nic).bytes_written;
+  check_int "snapshot unchanged by reset" 1 c.bursts
 
 let test_nic_step_by_step_partial () =
   let _, nic, src, dst = fresh_pair () in

@@ -183,17 +183,6 @@ let test_emitted_json_parses () =
       check_int ("gauge " ^ String.escaped name) v (int_of_float (num_exn "value" g));
       check_int "hwm" v (int_of_float (num_exn "hwm" g)))
     [ ("plain", 1); ({|quote"inside|}, 2); ({|back\slash|}, 3); ("new\nline", 4); ("tab\tcol", 5) ];
-  (* Registry snapshot: counters and a histogram, same treatment. *)
-  let r = Trace.Registry.create () in
-  Trace.Registry.add r {|ops"total|} 7;
-  Trace.Registry.add r "plain_ops" 3;
-  Trace.Registry.observe r "lat\\us" 1.5;
-  let j =
-    match J.parse (Trace.Registry.to_json r) with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "Registry.to_json unparseable: %s" e
-  in
-  check_int "escaped counter" 7 (int_of_float (num_exn {|ops"total|} (J.member_exn "counters" j)));
   (* Engine stats: the new fields must be present and numeric. *)
   let _, _, t = mini_bed () in
   let j =
@@ -261,6 +250,39 @@ let test_engine_stats () =
   let d1 = (P.stats t).P.degraded_us in
   check_bool "open window counts up" true (d1 >= d0 + 500);
   check_int "target unchanged" 2 (P.replication_target t)
+
+(* The probe derives from the same field table as pp/JSON: after one
+   sample, every counter is a [perseas.<name>] gauge holding the
+   snapshot's value. *)
+let test_stats_gauges () =
+  let clock, cluster, t = mini_bed () in
+  let tel = Ts.create () in
+  P.set_telemetry t tel;
+  let seg = P.malloc t ~name:"seg" ~size:4096 in
+  P.init_remote_db t;
+  for i = 0 to 2 do
+    let txn = P.begin_transaction t in
+    P.set_range txn seg ~off:(i * 128) ~len:256;
+    if i = 1 then P.abort txn else P.commit txn
+  done;
+  ignore (Cluster.crash_node cluster 1 Cluster.Failure.Software_error);
+  let txn = P.begin_transaction t in
+  P.set_range txn seg ~off:0 ~len:64;
+  P.commit txn;
+  Clock.advance clock (Time.us 100.0);
+  Ts.sample tel ~at:(Clock.now clock);
+  let sampled =
+    match Ts.samples tel with [ s ] -> s.Ts.values | _ -> Alcotest.fail "expected one sample"
+  in
+  let fields = P.stats_fields (P.stats t) in
+  check_int "one row per counter" 20 (List.length fields);
+  check_bool "degraded time is live" true (List.assoc "degraded_us" fields > 0);
+  List.iter
+    (fun (k, v) ->
+      match List.assoc_opt ("perseas." ^ k) sampled with
+      | Some g -> check_int ("perseas." ^ k) v g
+      | None -> Alcotest.failf "no gauge perseas.%s" k)
+    fields
 
 (* ------------------------------------------------------------------ *)
 (* Churn telemetry: determinism, invariance, agreement                 *)
@@ -412,6 +434,7 @@ let suite =
     Alcotest.test_case "emitted JSON parses (odd names included)" `Quick test_emitted_json_parses;
     Alcotest.test_case "chrome export grows counter tracks" `Quick test_chrome_counter_tracks;
     Alcotest.test_case "stats: aborts, undo hwm, degraded time" `Quick test_engine_stats;
+    Alcotest.test_case "every stats field is a perseas gauge" `Quick test_stats_gauges;
     Alcotest.test_case "churn series deterministic per seed" `Quick test_churn_csv_deterministic;
     Alcotest.test_case "telemetry off = byte-identical run" `Quick test_telemetry_off_invariance;
     Alcotest.test_case "degraded windows agree with supervisor log" `Quick test_degraded_agreement;
