@@ -8,8 +8,9 @@
      dune exec bench/main.exe -- --latency    # BENCH_latency.json only
      dune exec bench/main.exe -- --bechamel   # wall-clock micro-benches
      dune exec bench/main.exe -- --all        # engine x workload matrix -> BENCH_summary.json
-     dune exec bench/main.exe -- compare --against BENCH_summary.json [--tolerance PCT] [--p99-tolerance PCT]
-                                              # re-measure the matrix, exit 1 on regression *)
+
+   Every number is deterministic virtual time: a refactor regenerates
+   BENCH_summary.json, BENCH_latency.json and results/ byte-identical. *)
 
 let list_experiments () =
   print_endline "Available experiments:";
@@ -20,6 +21,7 @@ let list_experiments () =
 (* Machine-readable latency baseline for future perf PRs: virtual tps
    and per-phase mean latency of the standard mixes on one mirror. *)
 let bench_latency ?(path = "BENCH_latency.json") () =
+  let str s = "\"" ^ Trace.json_escape s ^ "\"" in
   let entries =
     List.map
       (fun mix ->
@@ -30,21 +32,19 @@ let bench_latency ?(path = "BENCH_latency.json") () =
         let phases =
           String.concat ", "
             (List.map
-               (fun (p : Trace.phase_stat) -> Printf.sprintf "%S: %.4f" p.phase p.mean_us)
+               (fun (p : Trace.phase_stat) -> Printf.sprintf "%s: %.4f" (str p.phase) p.mean_us)
                r.Harness.Measure.phases)
         in
-        (* Additive column: per-phase p99 from the live Tail histograms.
-           Old baselines without it still parse and gate. *)
         let phase_p99 =
           String.concat ", "
             (List.map
-               (fun (name, p) -> Printf.sprintf "%S: %.4f" name p)
+               (fun (name, p) -> Printf.sprintf "%s: %.4f" (str name) p)
                (Trace.Tail.phase_p99s tail))
         in
         Printf.sprintf
-          "  %S: { \"tps\": %.1f, \"mean_us\": %.4f, \"p99_us\": %.4f, \"phase_mean_us\": { %s }, \
+          "  %s: { \"tps\": %.1f, \"mean_us\": %.4f, \"p99_us\": %.4f, \"phase_mean_us\": { %s }, \
            \"phase_p99_us\": { %s } }"
-          (Harness.Experiments.mix_label mix)
+          (str (Harness.Experiments.mix_label mix))
           r.Harness.Measure.tps r.Harness.Measure.mean_us r.Harness.Measure.p99_us phases phase_p99)
       Harness.Experiments.latency_mixes
   in
@@ -53,71 +53,35 @@ let bench_latency ?(path = "BENCH_latency.json") () =
   close_out oc;
   Printf.printf "wrote %s\n" path
 
-(* The perf-gate matrix: tps / mean / p99 per engine x workload
-   (PERSEAS at 1-3 mirrors), written at the repo root where CI commits
-   it as the regression baseline. *)
+(* The benchmark matrix, written at the repo root where it is
+   committed as the baseline; a cell prints "-" for a column it did not
+   measure. *)
 let bench_all ?(path = "BENCH_summary.json") () =
-  let entries = Harness.Bench_summary.collect () in
-  Harness.Bench_summary.write ~path entries;
-  let header = [ "engine"; "workload"; "mirrors"; "tps"; "mean (us)"; "p99 (us)" ] in
+  let module B = Harness.Bench_summary in
+  let module Tb = Harness.Table in
+  let entries = B.collect () in
+  B.write ~path entries;
+  let header =
+    [ "engine"; "workload"; "mirrors"; "tps"; "mean (us)"; "p99 (us)"; "recovery (us)" ]
+  in
   let rows =
     List.map
-      (fun (e : Harness.Bench_summary.entry) ->
+      (fun (e : B.entry) ->
         [
           e.engine;
           e.workload;
           (if e.mirrors = 0 then "-" else string_of_int e.mirrors);
-          Harness.Table.fmt_tps e.tps;
-          Harness.Table.fmt_us e.mean_us;
-          Harness.Table.fmt_us e.p99_us;
-        ])
+        ]
+        @
+        match e.metrics with
+        | B.Latency { tps; mean_us; p99_us } ->
+            [ Tb.fmt_tps tps; Tb.fmt_us mean_us; Tb.fmt_us p99_us; "-" ]
+        | B.Throughput { tps } -> [ Tb.fmt_tps tps; "-"; "-"; "-" ]
+        | B.Recovery { recovery_us } -> [ "-"; "-"; "-"; Tb.fmt_us recovery_us ])
       entries
   in
-  Harness.Table.print ~title:"Benchmark summary (virtual time, deterministic)" ~header rows;
+  Tb.print ~title:"Benchmark summary (virtual time, deterministic)" ~header rows;
   Printf.printf "wrote %s (%d cells)\n" path (List.length entries)
-
-(* Measure the matrix fresh and judge it against a committed baseline;
-   exits 1 on any gate failure so CI can block the merge. *)
-let bench_compare ~against ~tolerance_pct ~p99_tolerance_pct =
-  let baseline =
-    try Harness.Bench_summary.load against
-    with e ->
-      Printf.eprintf "cannot load baseline %s: %s\n" against (Printexc.to_string e);
-      exit 2
-  in
-  let verdicts, failed =
-    Harness.Bench_summary.compare_to_baseline ~tolerance_pct ~p99_tolerance_pct ~baseline
-      (Harness.Bench_summary.collect ())
-  in
-  Harness.Bench_summary.print_verdicts ~tolerance_pct verdicts;
-  if failed then begin
-    Printf.eprintf
-      "bench gate FAILED: debit-credit tps regressed more than %.0f%% or p99 grew more than %.0f%%\n"
-      tolerance_pct p99_tolerance_pct;
-    exit 1
-  end
-  else
-    Printf.printf "bench gate passed (tps tolerance %.0f%%, p99 tolerance %.0f%%)\n" tolerance_pct
-      p99_tolerance_pct
-
-let rec parse_compare_args against tolerance p99_tolerance = function
-  | [] -> (against, tolerance, p99_tolerance)
-  | "--against" :: path :: rest -> parse_compare_args (Some path) tolerance p99_tolerance rest
-  | "--tolerance" :: pct :: rest -> (
-      match float_of_string_opt pct with
-      | Some p when p >= 0.0 -> parse_compare_args against (Some p) p99_tolerance rest
-      | _ ->
-          Printf.eprintf "compare: bad --tolerance %S\n" pct;
-          exit 2)
-  | "--p99-tolerance" :: pct :: rest -> (
-      match float_of_string_opt pct with
-      | Some p when p >= 0.0 -> parse_compare_args against tolerance (Some p) rest
-      | _ ->
-          Printf.eprintf "compare: bad --p99-tolerance %S\n" pct;
-          exit 2)
-  | arg :: _ ->
-      Printf.eprintf "compare: unknown argument %S\n" arg;
-      exit 2
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -130,12 +94,6 @@ let () =
   | [ "--latency" ] -> bench_latency ()
   | [ "--bechamel" ] -> Bechamel_suite.run ()
   | [ "--all" ] -> bench_all ()
-  | "compare" :: rest ->
-      let against, tolerance, p99_tolerance = parse_compare_args None None None rest in
-      let against = Option.value against ~default:"BENCH_summary.json" in
-      bench_compare ~against
-        ~tolerance_pct:(Option.value tolerance ~default:10.0)
-        ~p99_tolerance_pct:(Option.value p99_tolerance ~default:20.0)
   | names ->
       List.iter
         (fun name ->

@@ -343,7 +343,10 @@ let pp_stats ppf s =
 
 let stats_to_json s =
   "{ "
-  ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) (stats_fields s))
+  ^ String.concat ", "
+      (List.map
+         (fun (k, v) -> Printf.sprintf "\"%s\": %d" (Trace.json_escape k) v)
+         (stats_fields s))
   ^ " }"
 
 let set_replication_target t n =
@@ -2828,7 +2831,6 @@ module Shard = struct
     phase : Phase.t;
     mutable queue : cross list; (* FIFO: head drains first *)
     mutable next_xid : int;
-    mutable crossed : int; (* cross-shard transactions committed *)
     mutable bounced : int; (* drain attempts bounced by a conflict *)
   }
 
@@ -2853,7 +2855,6 @@ module Shard = struct
       phase = Phase.create ?interval ~master ();
       queue = [];
       next_xid = 0;
-      crossed = 0;
       bounced = 0;
     }
 
@@ -2864,7 +2865,7 @@ module Shard = struct
   let map sh = sh.map
   let phase sh = sh.phase
   let master sh = Phase.master sh.phase
-  let backlog sh = List.length sh.queue
+  let backlog sh = Phase.backlog sh.phase
   let epochs sh = Array.map (fun m -> m.sh_db.epoch) sh.members
 
   (* Each shard's primary runs on its own cluster and therefore its own
@@ -2974,7 +2975,6 @@ module Shard = struct
               sh.bounced <- sh.bounced + 1;
               requeued := x :: !requeued)
         q;
-      sh.crossed <- sh.crossed + !committed;
       sh.queue <- List.rev !requeued;
       fence sh;
       Phase.end_single_master sh.phase ~drained:!committed ~at:(now sh);
@@ -3016,9 +3016,9 @@ module Shard = struct
   let stats sh =
     {
       per_shard = Array.map (fun m -> m.sh_committed) sh.members;
-      cross_committed = sh.crossed;
+      cross_committed = Phase.drained sh.phase;
       cross_conflicts = sh.bounced;
-      backlog = List.length sh.queue;
+      backlog = Phase.backlog sh.phase;
       switches = Phase.single_master_phases sh.phase;
       phase_epoch = Phase.epoch sh.phase;
     }
@@ -3027,10 +3027,10 @@ module Shard = struct
      (pure observer, same contract as the engine's own telemetry). *)
   let set_telemetry sh tel =
     Trace.Timeseries.on_sample tel (fun _at ->
-        Trace.Timeseries.set tel "cluster.backlog" (List.length sh.queue);
+        Trace.Timeseries.set tel "cluster.backlog" (Phase.backlog sh.phase);
         Trace.Timeseries.set tel "cluster.phase"
           (match Phase.kind sh.phase with Phase.Partitioned -> 0 | Phase.Single_master -> 1);
-        Trace.Timeseries.set tel "cluster.cross_committed" sh.crossed;
+        Trace.Timeseries.set tel "cluster.cross_committed" (Phase.drained sh.phase);
         Trace.Timeseries.set tel "cluster.switches" (Phase.single_master_phases sh.phase);
         Array.iter
           (fun m ->

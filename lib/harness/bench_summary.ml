@@ -1,31 +1,33 @@
-(* The machine-readable benchmark matrix behind the CI perf gate:
-   virtual tps / mean / p99 for every engine and workload (PERSEAS at
-   1-3 mirrors), written to BENCH_summary.json at the repo root, and a
-   comparator that measures the matrix fresh and judges it against a
-   committed baseline.  All numbers are virtual-time and deterministic,
-   so the gate's tolerance only has to absorb intended model drift, not
-   machine noise. *)
+(* The machine-readable benchmark matrix written to BENCH_summary.json
+   at the repo root: every engine x workload cell (PERSEAS at 1-3
+   mirrors), plus the group-commit, checkpoint-recovery and sharded
+   cells.  All numbers are virtual-time and deterministic, so CI
+   regenerates the file and fails on any byte that differs from the
+   committed one.  Each cell carries only the quantities it measured. *)
 
 module T = Testbed
+
+type metrics =
+  | Latency of { tps : float; mean_us : float; p99_us : float }
+  | Throughput of { tps : float }
+  | Recovery of { recovery_us : float }
 
 type entry = {
   engine : string;
   workload : string;
   mirrors : int;  (* 0 for single-node baselines *)
-  tps : float;
-  mean_us : float;
-  p99_us : float;
+  metrics : metrics;
   pkts_per_txn : float option;  (* PERSEAS cells only: NIC packets / txn *)
   phase_p99 : (string * float) list;
-      (* PERSEAS cells only: p99 virtual us per txn phase from the live
-         Trace.Tail histograms; [] for baselines and older schemas. *)
+      (* PERSEAS eager cells only: p99 virtual us per txn phase from the
+         live Trace.Tail histograms. *)
 }
 
 let workload_label = function `Debit_credit -> "debit-credit" | `Order_entry -> "order-entry"
 let workloads = [ `Debit_credit; `Order_entry ]
 
 (* PERSEAS cells are built from the bed rather than the packed
-   instance so the gate can also read the cluster NIC's packet
+   instance so the cell can also read the cluster NIC's packet
    counters. *)
 let perseas_cell mirrors () =
   let bed = T.replicated_bed ~mirrors () in
@@ -39,9 +41,6 @@ let perseas_cell mirrors () =
       let finish () = ()
     end)
   in
-  (* The tail attaches only after setup (inside [measure]'s reset), so
-     the per-phase histograms cover the warmup + measured window, not
-     database creation. *)
   let attach_tail () =
     let tail = Trace.Tail.create () in
     Perseas.set_sink bed.T.perseas (Trace.Tail.sink tail);
@@ -61,120 +60,64 @@ let engines =
     ("RemoteWAL", 0, fun () -> (T.remote_wal_instance (), None, None));
   ]
 
-let measure (inst, nic, attach_tail) workload =
-  let (module I : T.INSTANCE) = inst in
+let measure (engine, mirrors, make) workload =
+  let inst, nic, attach_tail = make () in
   let iters = if T.label inst = "RVM" then 2_000 else 10_000 in
   let warmup = iters / 10 in
   let tail = ref None in
-  (* Counters are reset after setup, so packets/txn covers exactly the
-     warmup + measured transactions (the tail histograms likewise). *)
-  let reset () =
+  (* After setup, so packets/txn and the per-phase histograms cover
+     exactly the warmup + measured transactions, not database
+     creation. *)
+  let after_setup () =
     Option.iter Sci.Nic.reset_counters nic;
     tail := Option.map (fun f -> f ()) attach_tail
   in
-  let r =
+  let (r : Measure.result) =
     match workload with
     | `Debit_credit ->
-        let module W = Workloads.Debit_credit.Make (I.E) in
-        let rng = Sim.Rng.create 7 in
-        let db = W.setup I.engine ~params:Workloads.Debit_credit.default_params in
-        reset ();
-        let r =
-          Measure.run ~clock:I.clock ~finish:I.finish ~warmup ~iters (fun _ ->
-              W.transaction db rng)
-        in
-        assert (W.consistent db);
-        r
+        Experiments.run_debit_credit ~after_setup inst
+          ~params:Workloads.Debit_credit.default_params ~warmup ~iters
     | `Order_entry ->
-        let module W = Workloads.Order_entry.Make (I.E) in
-        let rng = Sim.Rng.create 11 in
-        let db = W.setup I.engine ~params:Workloads.Order_entry.default_params in
-        reset ();
-        let r =
-          Measure.run ~clock:I.clock ~finish:I.finish ~warmup ~iters (fun _ ->
-              W.transaction db rng)
-        in
-        assert (W.consistent db);
-        r
+        Experiments.run_order_entry ~after_setup inst ~params:Workloads.Order_entry.default_params
+          ~warmup ~iters
   in
-  let pkts =
-    Option.map
-      (fun n ->
-        let c = Sci.Nic.counters n in
-        float_of_int (c.Sci.Nic.packets64 + c.Sci.Nic.packets16) /. float_of_int (warmup + iters))
-      nic
-  in
-  let phase_p99 = match !tail with Some t -> Trace.Tail.phase_p99s t | None -> [] in
-  (r, pkts, phase_p99)
+  {
+    engine;
+    workload = workload_label workload;
+    mirrors;
+    metrics = Latency { tps = r.tps; mean_us = r.mean_us; p99_us = r.p99_us };
+    pkts_per_txn =
+      Option.map
+        (fun n ->
+          let c = Sci.Nic.counters n in
+          float_of_int (c.Sci.Nic.packets64 + c.Sci.Nic.packets16) /. float_of_int (warmup + iters))
+        nic;
+    phase_p99 = (match !tail with Some t -> Trace.Tail.phase_p99s t | None -> []);
+  }
 
-(* Concurrency cell: debit-credit under 8 interleaved clients at one
-   mirror, batching two client rounds per group-commit flush (the R9
-   protocol).  Only debit-credit is meaningful here, so the cell sits
-   outside the engine x workload matrix above; its packet gate is what
-   keeps the group-commit schedule honest at load — pkts/txn creeping
-   up under concurrency fails CI even when the eager cells stay flat. *)
+(* Concurrency cell: the R9 protocol at 8 clients and one mirror.
+   Per-transaction latency is not defined under group commit (commit
+   returns before the batch propagates), so the cell reports
+   throughput and packets only. *)
 let concurrency_clients = 8
 
 let concurrent_entry () =
-  let config = { Perseas.default_config with group_commit = 2 * concurrency_clients } in
-  let bed = T.replicated_bed ~config ~mirrors:1 () in
-  let t = bed.T.perseas in
-  let module W = Workloads.Debit_credit.Make (Perseas.Engine) in
-  let rng = Sim.Rng.create 97 in
-  (* The R9 experiment's sizing: enough branches that concurrent draws
-     are mostly disjoint.  At the default scale (one branch) every
-     transaction hits the same branch line and the cell measures
-     conflict retries, not the group-commit schedule it gates. *)
-  let params =
-    {
-      Workloads.Debit_credit.scale = 1024;
-      accounts_per_branch = 250;
-      history_slots = 8192;
-      skew = Workloads.Debit_credit.Uniform;
-    }
+  let c =
+    Experiments.concurrency_cell ~mirrors:1 ~clients:concurrency_clients ~warmup:1_000
+      ~txns:10_000
   in
-  let db = W.setup t ~params in
-  let spec =
-    {
-      Multi_client.prepare = (fun _ -> W.draw db rng);
-      declare = (fun txn d -> W.declare db txn d);
-      apply = (fun d -> W.apply db d);
-    }
-  in
-  ignore (Multi_client.run t ~clients:concurrency_clients ~total:1_000 spec);
-  let nic = Cluster.nic bed.T.cluster in
-  Sci.Nic.reset_counters nic;
-  let t0 = Sim.Clock.now bed.T.clock in
-  let s = Multi_client.run t ~clients:concurrency_clients ~total:10_000 spec in
-  let elapsed_us = Sim.Time.to_us (Sim.Clock.now bed.T.clock - t0) in
-  assert (W.consistent db);
-  let c = Sci.Nic.counters nic in
-  let amortized_us = elapsed_us /. float_of_int s.Multi_client.committed in
   {
     engine = Printf.sprintf "PERSEAS-c%d" concurrency_clients;
     workload = "debit-credit";
-    mirrors = 1;
-    tps = float_of_int s.Multi_client.committed *. 1e6 /. elapsed_us;
-    (* Per-transaction latency percentiles are not defined under group
-       commit (commit returns before the batch propagates), so both
-       latency columns carry the amortized per-transaction cost. *)
-    mean_us = amortized_us;
-    p99_us = amortized_us;
-    pkts_per_txn =
-      Some
-        (float_of_int (c.Sci.Nic.packets64 + c.Sci.Nic.packets16)
-        /. float_of_int s.Multi_client.committed);
-    (* Per-phase percentiles are as undefined as the latency columns
-       here: phases of staged transactions land in the convoy's window. *)
+    mirrors = c.Experiments.cc_mirrors;
+    metrics = Throughput { tps = c.Experiments.cc_tps };
+    pkts_per_txn = Some c.Experiments.cc_pkts_per_txn;
     phase_p99 = [];
   }
 
 (* Recovery-time cell: a checkpointed debit-credit database loses its
    primary and is rebuilt on the checkpoint target's node from the slot
-   plus the mirror tail.  tps is recoveries/second and both latency
-   columns carry the recovery time itself, so the debit-credit tps gate
-   also fails CI when checkpointed recovery slows by more than the
-   tolerance. *)
+   plus the mirror tail. *)
 let checkpoint_entry () =
   let clock = Sim.Clock.create () in
   let specs =
@@ -210,21 +153,16 @@ let checkpoint_entry () =
     engine = "PERSEAS-ckpt";
     workload = "debit-credit";
     mirrors = 1;
-    tps = 1e6 /. recovery_us;
-    mean_us = recovery_us;
-    p99_us = recovery_us;
+    metrics = Recovery { recovery_us };
     pkts_per_txn = None;
     phase_p99 = [];
   }
 
 (* Sharded cell: 4 shards at one mirror each, 5 cross-shard transfers
-   per 100 singles through the single-master phases — the R13 protocol
-   under gate.  tps is aggregate over the frontier clock; both latency
-   columns carry the amortized per-transaction cost (group commit plus
-   phase fences make per-transaction percentiles undefined here, as in
-   the concurrency cell).  Baselines written before this cell existed
-   simply lack it, and the comparator treats a missing baseline cell as
-   informational, so the gate stays backward-compatible. *)
+   per 100 singles through the single-master phases — the R13 protocol.
+   tps is aggregate over the frontier clock; group commit plus phase
+   fences leave per-transaction latency undefined, as in the
+   concurrency cell. *)
 let sharded_shards = 4
 
 let sharded_entry () =
@@ -239,41 +177,29 @@ let sharded_entry () =
   let cell =
     Sharding.run_cell ~params ~warmup:600 ~total:6_000 ~shards:sharded_shards ~cross_per_100:5 ()
   in
-  let txns = cell.Sharding.c_committed + cell.Sharding.c_cross in
-  let amortized_us = cell.Sharding.c_elapsed_us /. float_of_int txns in
   {
     engine = Printf.sprintf "PERSEAS-s%d" sharded_shards;
     workload = "debit-credit";
     mirrors = 1;
-    tps = cell.Sharding.c_tps;
-    mean_us = amortized_us;
-    p99_us = amortized_us;
+    metrics = Throughput { tps = cell.Sharding.c_tps };
     pkts_per_txn = Some cell.Sharding.c_pkts_per_txn;
     phase_p99 = [];
   }
 
 let collect () =
-  List.concat_map
-    (fun (engine, mirrors, make) ->
-      List.map
-        (fun w ->
-          let r, pkts, phase_p99 = measure (make ()) w in
-          {
-            engine;
-            workload = workload_label w;
-            mirrors;
-            tps = r.Measure.tps;
-            mean_us = r.Measure.mean_us;
-            p99_us = r.Measure.p99_us;
-            pkts_per_txn = pkts;
-            phase_p99;
-          })
-        workloads)
-    engines
+  List.concat_map (fun e -> List.map (measure e) workloads) engines
   @ [ concurrent_entry (); checkpoint_entry (); sharded_entry () ]
 
 let to_json entries =
+  let str s = "\"" ^ Trace.json_escape s ^ "\"" in
   let cell e =
+    let metrics =
+      match e.metrics with
+      | Latency { tps; mean_us; p99_us } ->
+          Printf.sprintf "\"tps\": %.1f, \"mean_us\": %.4f, \"p99_us\": %.4f" tps mean_us p99_us
+      | Throughput { tps } -> Printf.sprintf "\"tps\": %.1f" tps
+      | Recovery { recovery_us } -> Printf.sprintf "\"recovery_us\": %.4f" recovery_us
+    in
     let pkts =
       match e.pkts_per_txn with
       | Some p -> Printf.sprintf ", \"pkts_per_txn\": %.2f" p
@@ -285,217 +211,16 @@ let to_json entries =
       | ps ->
           Printf.sprintf ", \"phase_p99_us\": { %s }"
             (String.concat ", "
-               (List.map (fun (name, p) -> Printf.sprintf "%S: %.4f" name p) ps))
+               (List.map (fun (name, p) -> Printf.sprintf "%s: %.4f" (str name) p) ps))
     in
-    Printf.sprintf
-      "    { \"engine\": %S, \"workload\": %S, \"mirrors\": %d, \"tps\": %.1f, \"mean_us\": \
-       %.4f, \"p99_us\": %.4f%s%s }"
-      e.engine e.workload e.mirrors e.tps e.mean_us e.p99_us pkts phases
+    Printf.sprintf "    { \"engine\": %s, \"workload\": %s, \"mirrors\": %d, %s%s%s }"
+      (str e.engine) (str e.workload) e.mirrors metrics pkts phases
   in
-  "{\n  \"schema\": \"perseas-bench-summary/1\",\n  \"entries\": [\n"
+  "{\n  \"schema\": \"perseas-bench-summary/2\",\n  \"entries\": [\n"
   ^ String.concat ",\n" (List.map cell entries)
   ^ "\n  ]\n}\n"
-
-let of_json j =
-  let entry e =
-    let num k = Json.to_float (Json.member_exn k e) in
-    {
-      engine = Json.to_string (Json.member_exn "engine" e);
-      workload = Json.to_string (Json.member_exn "workload" e);
-      mirrors = Json.to_int (Json.member_exn "mirrors" e);
-      tps = num "tps";
-      mean_us = num "mean_us";
-      p99_us = num "p99_us";
-      (* Absent in baselines written before the packet column existed. *)
-      pkts_per_txn = Option.map Json.to_float (Json.member "pkts_per_txn" e);
-      (* Likewise absent before the per-phase tail column; an old
-         baseline still gates on tps/pkts/p99, just without
-         attribution. *)
-      phase_p99 =
-        (match Json.member "phase_p99_us" e with
-        | None -> []
-        | Some o -> List.map (fun (k, v) -> (k, Json.to_float v)) (Json.to_obj o));
-    }
-  in
-  List.map entry (Json.to_list (Json.member_exn "entries" j))
-
-let load path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  of_json (Json.parse_exn s)
 
 let write ~path entries =
   let oc = open_out path in
   output_string oc (to_json entries);
   close_out oc
-
-(* ------------------------------------------------------------------ *)
-(* The gate                                                            *)
-
-type verdict = {
-  entry : entry;
-  baseline_tps : float option;
-  delta_pct : float option;  (* negative = regression *)
-  baseline_pkts : float option;
-  pkts_delta_pct : float option;  (* positive = more packets *)
-  baseline_p99 : float option;
-  p99_delta_pct : float option;  (* positive = slower tail *)
-  baseline_phase_p99 : (string * float) list;  (* [] when the baseline predates it *)
-  gated : bool;  (* part of the hard gate (debit-credit tps + pkts + p99) *)
-  failed : bool;
-}
-
-let compare_to_baseline ?(tolerance_pct = 10.0) ?(pkts_tolerance_pct = 2.0)
-    ?(p99_tolerance_pct = 20.0) ~baseline current =
-  let find e =
-    List.find_opt
-      (fun b -> b.engine = e.engine && b.workload = e.workload && b.mirrors = e.mirrors)
-      baseline
-  in
-  let verdicts =
-    List.map
-      (fun e ->
-        let gated = e.workload = "debit-credit" in
-        match find e with
-        | None ->
-            {
-              entry = e;
-              baseline_tps = None;
-              delta_pct = None;
-              baseline_pkts = None;
-              pkts_delta_pct = None;
-              baseline_p99 = None;
-              p99_delta_pct = None;
-              baseline_phase_p99 = [];
-              gated;
-              failed = false;
-            }
-        | Some b ->
-            let delta = 100.0 *. (e.tps -. b.tps) /. b.tps in
-            (* The packet gate only engages when both sides carry the
-               column — baselines written before it existed gate on tps
-               alone. *)
-            let pkts_delta =
-              match (e.pkts_per_txn, b.pkts_per_txn) with
-              | Some cur, Some base when base > 0.0 -> Some (100.0 *. (cur -. base) /. base)
-              | _ -> None
-            in
-            (* Tail-latency gate: a tps-neutral change can still push
-               the p99 out (a longer worst-case convoy, a new stall in
-               one phase), so the debit-credit tail is held to its own
-               tolerance. *)
-            let p99_delta =
-              if b.p99_us > 0.0 then Some (100.0 *. (e.p99_us -. b.p99_us) /. b.p99_us) else None
-            in
-            {
-              entry = e;
-              baseline_tps = Some b.tps;
-              delta_pct = Some delta;
-              baseline_pkts = b.pkts_per_txn;
-              pkts_delta_pct = pkts_delta;
-              baseline_p99 = Some b.p99_us;
-              p99_delta_pct = p99_delta;
-              baseline_phase_p99 = b.phase_p99;
-              gated;
-              failed =
-                gated
-                && (delta < -.tolerance_pct
-                   || (match pkts_delta with Some d -> d > pkts_tolerance_pct | None -> false)
-                   || match p99_delta with Some d -> d > p99_tolerance_pct | None -> false);
-            })
-      current
-  in
-  (* Baseline coverage dropped from the matrix is a gate failure too —
-     a silently vanished cell must not read as a pass. *)
-  let missing =
-    List.filter
-      (fun b ->
-        b.workload = "debit-credit"
-        && not
-             (List.exists
-                (fun e ->
-                  e.engine = b.engine && e.workload = b.workload && e.mirrors = b.mirrors)
-                current))
-      baseline
-  in
-  let verdicts =
-    verdicts
-    @ List.map
-        (fun b ->
-          {
-            entry = b;
-            baseline_tps = Some b.tps;
-            delta_pct = None;
-            baseline_pkts = b.pkts_per_txn;
-            pkts_delta_pct = None;
-            baseline_p99 = Some b.p99_us;
-            p99_delta_pct = None;
-            baseline_phase_p99 = b.phase_p99;
-            gated = true;
-            failed = true;
-          })
-        missing
-  in
-  (verdicts, List.exists (fun v -> v.failed) verdicts)
-
-let print_verdicts ~tolerance_pct verdicts =
-  let header =
-    [ "engine"; "workload"; "mirrors"; "baseline tps"; "tps"; "delta"; "pkts/txn"; "pkts delta";
-      "p99 (us)"; "p99 delta"; "gate" ]
-  in
-  let fmt_pkts = function Some p -> Printf.sprintf "%.2f" p | None -> "-" in
-  let rows =
-    List.map
-      (fun v ->
-        [
-          v.entry.engine;
-          v.entry.workload;
-          (if v.entry.mirrors = 0 then "-" else string_of_int v.entry.mirrors);
-          (match v.baseline_tps with Some t -> Table.fmt_tps t | None -> "(new)");
-          (match v.delta_pct with None when v.baseline_tps <> None -> "MISSING"
-          | _ -> Table.fmt_tps v.entry.tps);
-          (match v.delta_pct with Some d -> Printf.sprintf "%+.1f%%" d | None -> "-");
-          fmt_pkts v.entry.pkts_per_txn;
-          (match v.pkts_delta_pct with Some d -> Printf.sprintf "%+.1f%%" d | None -> "-");
-          Table.fmt_us v.entry.p99_us;
-          (match v.p99_delta_pct with Some d -> Printf.sprintf "%+.1f%%" d | None -> "-");
-          (if v.failed then "FAIL" else if v.gated then "ok" else "info");
-        ])
-      verdicts
-  in
-  Table.print
-    ~title:
-      (Printf.sprintf
-         "Bench gate: debit-credit tps within %.0f%% of baseline, packets/txn not up, p99 not \
-          blown (other cells informational)"
-         tolerance_pct)
-    ~header rows;
-  (* A failed cell gets its tail attributed: which phase's p99 moved,
-     so the gate's verdict names a suspect instead of just a number. *)
-  List.iter
-    (fun v ->
-      if v.failed && v.entry.phase_p99 <> [] then begin
-        Printf.printf "%s %s x%d p99 attribution (phase: now vs baseline):\n" v.entry.engine
-          v.entry.workload v.entry.mirrors;
-        if v.baseline_phase_p99 = [] then
-          print_endline "  no per-phase baseline (older schema) - current p99 per phase only";
-        let moved =
-          List.map
-            (fun (name, p) ->
-              let base = List.assoc_opt name v.baseline_phase_p99 in
-              let delta = match base with Some b when b > 0. -> Some (p -. b) | _ -> None in
-              (name, p, base, delta))
-            v.entry.phase_p99
-        in
-        let key = function _, _, _, Some d -> -.abs_float d | _, p, _, None -> -.p in
-        List.iter
-          (fun (name, p, base, delta) ->
-            Printf.printf "  %-18s %8.2f us%s\n" name p
-              (match (base, delta) with
-              | Some b, Some d -> Printf.sprintf " vs %8.2f us (%+.2f us)" b d
-              | _ -> ""))
-          (List.sort (fun a b -> compare (key a) (key b)) moved)
-      end)
-    verdicts

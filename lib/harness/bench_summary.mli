@@ -1,91 +1,54 @@
-(** The benchmark matrix behind the CI perf gate.
+(** The benchmark matrix in [BENCH_summary.json].
 
-    [collect] measures virtual tps / mean / p99 for every engine and
-    workload — PERSEAS at 1, 2 and 3 mirrors, then each single-node
-    baseline — and the result round-trips through
-    [BENCH_summary.json].  All numbers are deterministic virtual time,
-    so {!compare_to_baseline}'s tolerance only absorbs intended model
-    drift, never machine noise. *)
+    [collect] measures every engine and workload — PERSEAS at 1, 2 and
+    3 mirrors, then each single-node baseline — plus three PERSEAS
+    cells outside that matrix.  All numbers are deterministic virtual
+    time, so the committed file is the baseline: CI regenerates it and
+    fails on any byte that differs.  A change that means to move a
+    number commits the regenerated file; the diff of a cell's line
+    names the quantity (and, for eager PERSEAS cells, the phase) that
+    moved.  Each cell carries only the quantities it measured. *)
+
+(** What a cell measured. *)
+type metrics =
+  | Latency of { tps : float; mean_us : float; p99_us : float }
+      (** A {!Measure.run} over single transactions: throughput and
+          per-transaction latency. *)
+  | Throughput of { tps : float }
+      (** Group-commit and sharded cells, where commit returns before
+          its batch propagates and per-transaction latency is
+          undefined. *)
+  | Recovery of { recovery_us : float }
+      (** Virtual time to rebuild the database after a primary crash. *)
 
 type entry = {
   engine : string;
   workload : string;
   mirrors : int;  (** 0 for single-node baselines *)
-  tps : float;
-  mean_us : float;
-  p99_us : float;
+  metrics : metrics;
   pkts_per_txn : float option;
-      (** PERSEAS cells only: SCI packets (64 B + 16 B) per transaction
-          over the warmup + measured window; [None] for single-node
-          baselines and for JSON written before this column existed. *)
+      (** PERSEAS transaction cells only: SCI packets (64 B + 16 B) per
+          transaction over the warmup + measured window. *)
   phase_p99 : (string * float) list;
       (** PERSEAS eager cells only: p99 virtual microseconds per [txn]
           phase over the same window, from a live {!Trace.Tail}; [[]]
-          for baselines, group-commit/recovery cells, and JSON written
-          before the [phase_p99_us] field existed. *)
+          elsewhere. *)
 }
 
 val collect : unit -> entry list
-(** Run the full matrix, a fresh testbed per cell, plus the
-    ["PERSEAS-c8"] concurrency cell: debit-credit under 8 interleaved
-    clients at one mirror with group commit, whose latency columns
-    carry the amortized per-transaction cost (per-transaction
-    percentiles are undefined when commit returns before the batch
-    propagates).  Its packets/txn column puts the group-commit
-    schedule under the same CI gate as the eager cells.
-
-    Also includes the ["PERSEAS-ckpt"] recovery cell: a checkpointed
-    debit-credit database loses its primary and is rebuilt on the
-    checkpoint target's node from the slot plus the mirror tail; tps is
-    recoveries/second and both latency columns carry the recovery time,
-    so the same debit-credit gate fails CI when checkpointed recovery
-    regresses. *)
+(** Run the full matrix, a fresh testbed per cell, then:
+    - ["PERSEAS-c8"]: {!Experiments.concurrency_cell} at 8 clients and
+      one mirror ([Throughput], packets/txn);
+    - ["PERSEAS-ckpt"]: a checkpointed debit-credit database loses its
+      primary and is rebuilt on the checkpoint target's node from the
+      slot plus the mirror tail ([Recovery]);
+    - ["PERSEAS-s4"]: 4 shards at one mirror, 5% cross-shard
+      ([Throughput], packets/txn). *)
 
 val to_json : entry list -> string
-val of_json : Json.t -> entry list
-(** Raises [Failure] on a malformed document. *)
+(** Schema [perseas-bench-summary/2]: one line per cell, with [tps],
+    [mean_us] and [p99_us] for [Latency], [tps] for [Throughput] and
+    [recovery_us] for [Recovery]; [pkts_per_txn] and [phase_p99_us]
+    only when present. *)
 
-val load : string -> entry list
 val write : path:string -> entry list -> unit
-
-type verdict = {
-  entry : entry;
-  baseline_tps : float option;  (** [None]: cell absent from baseline *)
-  delta_pct : float option;  (** tps change vs baseline; negative = slower *)
-  baseline_pkts : float option;
-  pkts_delta_pct : float option;
-      (** packets/txn change vs baseline; positive = more packets.
-          [None] when either side lacks the column. *)
-  baseline_p99 : float option;
-  p99_delta_pct : float option;
-      (** p99 latency change vs baseline; positive = slower tail.
-          [None] when the baseline p99 is zero or the cell is new. *)
-  baseline_phase_p99 : (string * float) list;
-      (** Baseline per-phase p99s; [[]] when the baseline predates the
-          column (the gate still judges, without attribution). *)
-  gated : bool;  (** counted by the hard gate (debit-credit cells) *)
-  failed : bool;
-}
-
-val compare_to_baseline :
-  ?tolerance_pct:float ->
-  ?pkts_tolerance_pct:float ->
-  ?p99_tolerance_pct:float ->
-  baseline:entry list ->
-  entry list ->
-  verdict list * bool
-(** Judge a fresh matrix against a baseline: a debit-credit cell more
-    than [tolerance_pct] (default 10) slower fails, as does one whose
-    packets/txn grew by more than [pkts_tolerance_pct] (default 2;
-    only when both sides carry the column), as does one whose p99
-    latency grew by more than [p99_tolerance_pct] (default 20 — the
-    tail is noisier than the mean, so it gets more headroom but is
-    still gated), as does a debit-credit baseline cell missing from
-    the fresh matrix.  Other cells are informational.  Returns the
-    per-cell verdicts and whether anything failed. *)
-
-val print_verdicts : tolerance_pct:float -> verdict list -> unit
-(** Aligned verdict table on stdout.  A failed cell carrying per-phase
-    p99s is followed by its tail attribution — each phase's p99 now vs
-    baseline, biggest mover first — so a blown gate names the phase
-    that moved, not just the number. *)

@@ -19,20 +19,24 @@ let with_synthetic (module I : Testbed.INSTANCE) ~db_size k =
       Measure.run ~clock:I.clock ~finish:I.finish ~warmup ~iters (fun _ ->
           S.transaction db rng ~tx_size))
 
-let run_debit_credit (module I : Testbed.INSTANCE) ~params ~warmup ~iters =
+let run_debit_credit ?(after_setup = ignore) (module I : Testbed.INSTANCE) ~params ~warmup
+    ~iters =
   let module W = Workloads.Debit_credit.Make (I.E) in
   let rng = Rng.create 7 in
   let db = W.setup I.engine ~params in
+  after_setup ();
   let result =
     Measure.run ~clock:I.clock ~finish:I.finish ~warmup ~iters (fun _ -> W.transaction db rng)
   in
   assert (W.consistent db);
   result
 
-let run_order_entry (module I : Testbed.INSTANCE) ~params ~warmup ~iters =
+let run_order_entry ?(after_setup = ignore) (module I : Testbed.INSTANCE) ~params ~warmup
+    ~iters =
   let module W = Workloads.Order_entry.Make (I.E) in
   let rng = Rng.create 11 in
   let db = W.setup I.engine ~params in
+  after_setup ();
   let result =
     Measure.run ~clock:I.clock ~finish:I.finish ~warmup ~iters (fun _ -> W.transaction db rng)
   in
@@ -976,7 +980,7 @@ type concurrency_cell = {
   cc_flushes : int;
 }
 
-let concurrency_cell ~mirrors ~clients ~txns =
+let concurrency_cell ~mirrors ~clients ~warmup ~txns =
   (* One client runs the seed's eager protocol (the baseline the bar is
      measured against); concurrent runs batch two client rounds per
      flush — the queue depth is a policy knob independent of the client
@@ -997,7 +1001,7 @@ let concurrency_cell ~mirrors ~clients ~txns =
       apply = (fun d -> W.apply db d);
     }
   in
-  ignore (Multi_client.run t ~clients ~total:(max 64 (8 * clients)) spec);
+  ignore (Multi_client.run t ~clients ~total:warmup spec);
   let nic = Cluster.nic bed.Testbed.cluster in
   Sci.Nic.reset_counters nic;
   let s0 = Perseas.stats t in
@@ -1023,7 +1027,10 @@ let concurrency () =
   let cells =
     List.concat_map
       (fun mirrors ->
-        List.map (fun clients -> concurrency_cell ~mirrors ~clients ~txns) concurrency_levels)
+        List.map
+          (fun clients ->
+            concurrency_cell ~mirrors ~clients ~warmup:(max 64 (8 * clients)) ~txns)
+          concurrency_levels)
       [ 1; 3 ]
   in
   let header = [ "mirrors"; "clients"; "tps"; "pkts/txn"; "conflicts"; "group flushes" ] in

@@ -4,6 +4,43 @@
     same rows as CSV under [results/].  All numbers are virtual-time
     and deterministic. *)
 
+(** {1 Runners the bench matrix reuses} *)
+
+val run_debit_credit :
+  ?after_setup:(unit -> unit) ->
+  Testbed.instance ->
+  params:Workloads.Debit_credit.params ->
+  warmup:int ->
+  iters:int ->
+  Measure.result
+(** Set up debit-credit on the instance, call [after_setup] (default:
+    nothing), then {!Measure.run} [warmup] + [iters] transactions drawn
+    from seed 7 and assert the TPC-B invariant. *)
+
+val run_order_entry :
+  ?after_setup:(unit -> unit) ->
+  Testbed.instance ->
+  params:Workloads.Order_entry.params ->
+  warmup:int ->
+  iters:int ->
+  Measure.result
+(** Same for order-entry, seed 11. *)
+
+type concurrency_cell = {
+  cc_mirrors : int;
+  cc_clients : int;
+  cc_tps : float;
+  cc_pkts_per_txn : float;  (** NIC packets (64 B + 16 B) per committed txn. *)
+  cc_conflicts : int;
+  cc_flushes : int;  (** Group-commit flushes in the measured window. *)
+}
+
+val concurrency_cell : mirrors:int -> clients:int -> warmup:int -> txns:int -> concurrency_cell
+(** R9's cell: debit-credit (seed 97, 1024 branches) under [clients]
+    interleaved clients on a fresh [mirrors]-way testbed, group commit
+    of two client rounds (eager at one client).  [warmup] transactions
+    run first; tps and packets/txn cover the next [txns]. *)
+
 val fig5 : unit -> unit
 (** Figure 5: SCI remote-write latency vs. data size (4–200 B). *)
 

@@ -1,8 +1,7 @@
 (* A small recursive-descent JSON parser.  The harness emits JSON in a
    few places (stats, bench summaries, gauge snapshots, Chrome traces);
-   this is the matching reader, used by the regression gate to load a
-   committed baseline and by the tests to check that what we emit
-   actually parses — with escapes, not just by eye. *)
+   this is the matching reader.  Only the tests use it, to check that
+   what we emit actually parses — with escapes, not just by eye. *)
 
 type t =
   | Null

@@ -2,9 +2,9 @@
 
     The simulator emits JSON by hand ({!Perseas.stats_to_json},
     [Trace.Export.chrome_json], the bench summaries); this module is the
-    matching parser, so the regression gate can load a committed
-    baseline and the tests can check emitted documents actually parse —
-    escapes, nesting and all — without any external dependency.
+    matching parser.  Only the tests use it: they check that emitted
+    documents actually parse — escapes, nesting and all — without any
+    external dependency.
 
     Supports the full JSON grammar, including [\u] escapes (with
     surrogate pairs, decoded to UTF-8).  Numbers are held as [float],

@@ -331,98 +331,48 @@ let test_degraded_agreement () =
   check_bool "gauge degraded time is real" true (final_us > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Bench summary: round-trip and the regression gate                   *)
+(* Bench summary: typed cells                                          *)
 
-let test_bench_gate () =
+let test_bench_cells () =
   let module B = Harness.Bench_summary in
-  let e ?(engine = "PERSEAS") ?(workload = "debit-credit") ?(mirrors = 1) ?pkts ?(p99 = 46.25)
-      ?(phases = []) tps =
-    {
-      B.engine;
-      workload;
-      mirrors;
-      tps;
-      mean_us = 43.5;
-      p99_us = p99;
-      pkts_per_txn = pkts;
-      phase_p99 = phases;
-    }
+  let engine = "PERSEAS \"caf\xc3\xa9\"" in
+  let cell ?pkts_per_txn ?(phase_p99 = []) metrics =
+    { B.engine; workload = "dc"; mirrors = 1; metrics; pkts_per_txn; phase_p99 }
   in
-  let current = [ e 1000.0; e ~workload:"order-entry" 500.0; e ~engine:"Vista" ~mirrors:0 2000.0 ] in
-  (* Round-trip through the writer and the parser. *)
-  let parsed = B.of_json (J.parse_exn (B.to_json current)) in
-  check_bool "json round-trip" true (parsed = current);
-  (* Identical baseline: clean pass. *)
-  let _, failed = B.compare_to_baseline ~baseline:current current in
-  check_bool "identical baseline passes" false failed;
-  (* Within tolerance: 5% down on 10% tolerance still passes. *)
-  let _, failed = B.compare_to_baseline ~baseline:[ e 1052.0 ] current in
-  check_bool "small drift passes" false failed;
-  (* The acceptance check: a doctored 2x baseline must fail the gate. *)
-  let doctored = List.map (fun (x : B.entry) -> { x with B.tps = x.tps *. 2.0 }) current in
-  let verdicts, failed = B.compare_to_baseline ~baseline:doctored current in
-  check_bool "2x baseline fails" true failed;
-  check_int "only debit-credit cells gate" 2
-    (List.length (List.filter (fun v -> v.B.failed) verdicts));
-  (* order-entry regressions are informational, not gating. *)
-  let _, failed =
-    B.compare_to_baseline ~baseline:[ e ~workload:"order-entry" 5000.0 ] current
+  let phases = [ ("set_range", 5.5); ("commit \"fence\"", 12.25) ] in
+  let doc =
+    J.parse_exn
+      (B.to_json
+         [
+           cell ~pkts_per_txn:9.5 ~phase_p99:phases
+             (B.Latency { tps = 1000.0; mean_us = 43.5; p99_us = 46.25 });
+           cell (B.Throughput { tps = 2000.0 });
+           cell (B.Recovery { recovery_us = 526761.17 });
+         ])
   in
-  check_bool "order-entry not gated" false failed;
-  (* A debit-credit cell vanishing from the matrix fails too. *)
-  let _, failed =
-    B.compare_to_baseline ~baseline:(e ~mirrors:7 900.0 :: current) current
-  in
-  check_bool "missing gated cell fails" true failed;
-  (* The packet column: round-trips, gates on growth, and a baseline
-     without it never engages the packet gate. *)
-  let with_pkts = [ e ~pkts:9.5 1000.0 ] in
-  let parsed = B.of_json (J.parse_exn (B.to_json with_pkts)) in
-  check_bool "pkts column round-trips" true (parsed = with_pkts);
-  let _, failed = B.compare_to_baseline ~baseline:[ e ~pkts:9.5 1000.0 ] with_pkts in
-  check_bool "same packets passes" false failed;
-  let _, failed = B.compare_to_baseline ~baseline:[ e ~pkts:8.0 1000.0 ] with_pkts in
-  check_bool "packet growth fails even with tps flat" true failed;
-  let _, failed = B.compare_to_baseline ~baseline:[ e 1000.0 ] with_pkts in
-  check_bool "old baseline without pkts does not gate packets" false failed;
-  let _, failed =
-    B.compare_to_baseline ~baseline:[ e ~workload:"order-entry" ~pkts:8.0 1000.0 ]
-      [ e ~workload:"order-entry" ~pkts:16.0 1000.0 ]
-  in
-  check_bool "packet gate only on debit-credit" false failed;
-  (* The p99 gate: a tps-flat run whose tail blew past the 20%
-     tolerance fails; growth inside the tolerance passes; non
-     debit-credit tails are informational. *)
-  let _, failed = B.compare_to_baseline ~baseline:[ e ~p99:40.0 1000.0 ] [ e ~p99:50.0 1000.0 ] in
-  check_bool "25% p99 growth fails with tps flat" true failed;
-  let _, failed = B.compare_to_baseline ~baseline:[ e ~p99:40.0 1000.0 ] [ e ~p99:46.0 1000.0 ] in
-  check_bool "15% p99 growth passes" false failed;
-  let _, failed =
-    B.compare_to_baseline ~p99_tolerance_pct:30.0 ~baseline:[ e ~p99:40.0 1000.0 ]
-      [ e ~p99:50.0 1000.0 ]
-  in
-  check_bool "p99 tolerance is adjustable" false failed;
-  let _, failed =
-    B.compare_to_baseline ~baseline:[ e ~workload:"order-entry" ~p99:40.0 1000.0 ]
-      [ e ~workload:"order-entry" ~p99:80.0 1000.0 ]
-  in
-  check_bool "p99 gate only on debit-credit" false failed;
-  (* The per-phase tail column: round-trips through JSON, an old
-     baseline without it still gates, and a failed verdict carries the
-     baseline attribution when present. *)
-  let phases = [ ("set_range", 5.5); ("commit_fence", 12.25) ] in
-  let with_phases = [ e ~phases 1000.0 ] in
-  let parsed = B.of_json (J.parse_exn (B.to_json with_phases)) in
-  check_bool "phase_p99 column round-trips" true (parsed = with_phases);
-  let _, failed = B.compare_to_baseline ~baseline:[ e 1000.0 ] with_phases in
-  check_bool "old baseline without phase_p99 still gates" false failed;
-  let verdicts, failed =
-    B.compare_to_baseline ~baseline:[ e ~phases ~p99:30.0 1000.0 ] [ e ~phases ~p99:50.0 1000.0 ]
-  in
-  check_bool "blown p99 with phases fails" true failed;
-  (match List.find_opt (fun v -> v.B.failed) verdicts with
-  | Some v -> check_bool "verdict carries baseline attribution" true (v.B.baseline_phase_p99 = phases)
-  | None -> Alcotest.fail "expected a failed verdict")
+  check_string "schema" "perseas-bench-summary/2" (J.to_string (J.member_exn "schema" doc));
+  let has k c = J.member k c <> None in
+  match J.to_list (J.member_exn "entries" doc) with
+  | [ latency; throughput; recovery ] ->
+      List.iter
+        (fun c -> check_string "name reads back" engine (J.to_string (J.member_exn "engine" c)))
+        [ latency; throughput; recovery ];
+      check_bool "latency: tps, mean_us, p99_us" true
+        (has "tps" latency && has "mean_us" latency && has "p99_us" latency);
+      check_bool "latency p99 value" true (J.to_float (J.member_exn "p99_us" latency) = 46.25);
+      check_bool "pkts/txn reads back" true (J.to_float (J.member_exn "pkts_per_txn" latency) = 9.5);
+      check_bool "phase p99s read back" true
+        (List.map
+           (fun (k, v) -> (k, J.to_float v))
+           (J.to_obj (J.member_exn "phase_p99_us" latency))
+        = phases);
+      check_bool "throughput: tps, no latency" true
+        (has "tps" throughput && not (has "mean_us" throughput || has "p99_us" throughput));
+      check_bool "recovery: recovery_us, no tps" true
+        (has "recovery_us" recovery && not (has "tps" recovery));
+      check_bool "recovery value" true
+        (J.to_float (J.member_exn "recovery_us" recovery) = 526761.17)
+  | l -> Alcotest.failf "expected 3 entries, got %d" (List.length l)
 
 let suite =
   [
@@ -438,5 +388,5 @@ let suite =
     Alcotest.test_case "churn series deterministic per seed" `Quick test_churn_csv_deterministic;
     Alcotest.test_case "telemetry off = byte-identical run" `Quick test_telemetry_off_invariance;
     Alcotest.test_case "degraded windows agree with supervisor log" `Quick test_degraded_agreement;
-    Alcotest.test_case "bench summary round-trip and gate" `Quick test_bench_gate;
+    Alcotest.test_case "bench cells carry only what they measured" `Quick test_bench_cells;
   ]
